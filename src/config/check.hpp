@@ -1,25 +1,22 @@
 #pragma once
 // Unified named-field configuration checking.
 //
-// Every config struct in the codebase grew its own throwing
-// `ValidateXxxConfig` over PRs 1-6.  Throwing is the right interface at
-// construction time -- a bad config is a programming error there -- but
-// it is the wrong one for a search loop that proposes thousands of
-// mutated configs per second and needs to reject the illegal ones
-// cheaply, and it makes tests assert on substrings of prose instead of
-// on fields.
+// Throwing is the right interface at construction time -- a bad config
+// is a programming error there -- but it is the wrong one for a search
+// loop that proposes thousands of mutated configs per second and needs to
+// reject the illegal ones cheaply, and it makes tests assert on substrings
+// of prose instead of on fields.
 //
 // This header defines the shared currency: a `ConfigIssue` names the
 // offending field (dot-path into the aggregate, e.g.
 // "replica[1].engine.former.timeout_s") and the reason it is illegal.
-// Each module now exposes a non-throwing
+// Each module exposes a non-throwing
 //
 //   ConfigIssues CheckXxxConfig(const XxxConfig&);
 //
-// returning every issue found (empty means legal), and keeps its
-// original `ValidateXxxConfig` as a thin wrapper that throws
-// std::invalid_argument on the first issue -- existing call sites and
-// their error-message contracts are unchanged.
+// returning every issue found (empty means legal); constructors throw
+// std::invalid_argument on the first issue via
+// ThrowOnIssues("XxxConfig", CheckXxxConfig(cfg)).
 
 #include <string>
 #include <vector>

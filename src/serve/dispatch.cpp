@@ -29,17 +29,22 @@ BatchServiceModel PaddedServiceModel(double seconds_per_token,
   };
 }
 
-namespace {
-
-// Shared scheduling core: `price` maps a batch to its service model.
-DispatchSchedule ScheduleWithPricing(
+DispatchSchedule ScheduleFormedBatches(
     const std::vector<TimedRequest>& trace,
     const std::vector<FormedBatch>& batches, std::size_t workers,
-    const std::function<const BatchServiceModel&(const FormedBatch&)>& price) {
+    const std::vector<BatchServiceModel>& tier_services) {
   if (workers == 0) {
     throw std::invalid_argument(
         "ScheduleFormedBatches: workers must be >= 1 (no backend to "
         "dispatch to)");
+  }
+  for (const FormedBatch& b : batches) {
+    if (b.tier >= tier_services.size()) {
+      throw std::invalid_argument(
+          "ScheduleFormedBatches: batch names tier " +
+          std::to_string(b.tier) + " but only " +
+          std::to_string(tier_services.size()) + " tier services exist");
+    }
   }
   DispatchSchedule sched;
   sched.launch_s.reserve(batches.size());
@@ -54,7 +59,7 @@ DispatchSchedule ScheduleWithPricing(
   for (const FormedBatch& b : batches) {
     auto free_it = std::min_element(worker_free.begin(), worker_free.end());
     const double launch = std::max(*free_it, b.ready_s);
-    const double service_s = price(b)(BatchLengths(trace, b));
+    const double service_s = tier_services[b.tier](BatchLengths(trace, b));
     const double done = launch + service_s;
     for (std::size_t idx : b.indices) {
       latencies.push_back(done - trace[idx].arrival_s);
@@ -77,38 +82,6 @@ DispatchSchedule ScheduleWithPricing(
   sched.report =
       BuildServingReport(latencies, batches.size(), busy, span, workers);
   return sched;
-}
-
-}  // namespace
-
-DispatchSchedule ScheduleFormedBatches(const std::vector<TimedRequest>& trace,
-                                       const std::vector<FormedBatch>& batches,
-                                       std::size_t workers,
-                                       const BatchServiceModel& service) {
-  return ScheduleWithPricing(
-      trace, batches, workers,
-      [&service](const FormedBatch&) -> const BatchServiceModel& {
-        return service;
-      });
-}
-
-DispatchSchedule ScheduleFormedBatches(
-    const std::vector<TimedRequest>& trace,
-    const std::vector<FormedBatch>& batches, std::size_t workers,
-    const std::vector<BatchServiceModel>& tier_services) {
-  for (const FormedBatch& b : batches) {
-    if (b.tier >= tier_services.size()) {
-      throw std::invalid_argument(
-          "ScheduleFormedBatches: batch names tier " +
-          std::to_string(b.tier) + " but only " +
-          std::to_string(tier_services.size()) + " tier services exist");
-    }
-  }
-  return ScheduleWithPricing(
-      trace, batches, workers,
-      [&tier_services](const FormedBatch& b) -> const BatchServiceModel& {
-        return tier_services[b.tier];
-      });
 }
 
 }  // namespace latte

@@ -47,15 +47,11 @@ struct DispatchSchedule {
 
 /// Schedules `batches` (in order) onto `workers` earliest-free slots and
 /// accounts per-request latency (arrival -> batch completion), throughput
-/// and busy fraction into a ServingReport.
-DispatchSchedule ScheduleFormedBatches(const std::vector<TimedRequest>& trace,
-                                       const std::vector<FormedBatch>& batches,
-                                       std::size_t workers,
-                                       const BatchServiceModel& service);
-
-/// Tier-aware variant: batch `b` is priced by `tier_services[b.tier]`
-/// (the adaptive ladder's per-tier models, see serve/service_model.hpp).
-/// Throws std::invalid_argument if a batch names a tier with no model.
+/// and busy fraction into a ServingReport.  Batch `b` is priced by
+/// `tier_services[b.tier]` -- pass `{service}` for a single-tier former
+/// (every FormedBatch defaults to tier 0), or the adaptive ladder's
+/// per-tier models (serve/service_model.hpp).  Throws
+/// std::invalid_argument if a batch names a tier with no model.
 DispatchSchedule ScheduleFormedBatches(
     const std::vector<TimedRequest>& trace,
     const std::vector<FormedBatch>& batches, std::size_t workers,

@@ -11,6 +11,15 @@
 // reproducible: the same trace yields bit-identical outputs, batches and
 // reports at any BatchRunner thread count.
 //
+// One serving path: every engine runs a single admission -> forming ->
+// dispatch loop over a ladder of service tiers, driven by one virtual-time
+// event loop (batch completions, timeout seals, FIFO launches, controller
+// epochs).  A plain replica is a one-tier ladder -- the full model at
+// `inference.sparse.top_k`, no escalation, no controller -- and forms
+// exactly FormBatches' batches, including its tie rule: a request arriving
+// exactly at a batch's timeout deadline still joins it.  With
+// `adapt.enabled` the SLO controller picks the tier per request.
+//
 // Backpressure: with a bounded queue (`queue_capacity` > 0) a request is
 // rejected when the waiting room -- admitted requests whose batch has not
 // yet launched -- is full at its arrival.  Admission is decided in virtual
@@ -84,8 +93,9 @@ struct ServingEngineConfig {
   /// deterministic virtual-time numbers matter.
   bool execute = true;
   /// Deterministic per-batch service time for the virtual-time report;
-  /// empty picks a token-linear default.  Use AcceleratorServiceModel
-  /// (fpga/serving.hpp) to account exactly like the performance twin.
+  /// empty picks a token-linear default.  Build a kAccelerator
+  /// ServiceModelSpec (serve/service_model.hpp) to account exactly like
+  /// the performance twin.
   BatchServiceModel service;
   /// Request-result cache in front of batch forming (disabled by
   /// default).  A cluster may override this with a fleet-shared store.
@@ -115,9 +125,6 @@ struct ServingEngineConfig {
 /// Names every illegal field (nested former/cache/shard issues carry
 /// dot-path prefixes); empty means legal.
 ConfigIssues CheckServingEngineConfig(const ServingEngineConfig& cfg);
-
-/// Throws std::invalid_argument naming the offending field.
-void ValidateServingEngineConfig(const ServingEngineConfig& cfg);
 
 /// The input embedding the engine synthesizes for a request pushed without
 /// one: a function of (base_seed, Push ordinal, length) alone, so request
@@ -307,11 +314,25 @@ class ServingEngine {
   const BatchRunner& runner() const { return runner_; }
 
  private:
-  bool PushImpl(const TimedRequest& request, MatrixF input);
   CacheKey KeyFor(const TimedRequest& request, const MatrixF& input) const;
-  void SealOpen(BatchSeal seal, double ready_s);
-  void ProcessCacheCompletions(double now);
-  void CompleteAdmitted(std::size_t idx, double done_s);
+  /// The cache layer in front of admission: true when the request was
+  /// served as a hit or attached as a coalesced follower; otherwise
+  /// `key` is the key it would lead (kNullCacheKey when uncacheable).
+  bool ServeFromCache(const TimedRequest& request, const MatrixF& input,
+                      std::size_t ordinal, CacheKey& key);
+  void AdmitToTier(std::size_t tier, const TimedRequest& request,
+                   MatrixF input, std::size_t ordinal, double root_arrival,
+                   bool escalate, CacheKey key);
+  void Seal(std::size_t tier, BatchSeal seal, double ready_s);
+  /// Runs the virtual-time event loop -- batch completions (cache
+  /// publication, escalation re-injection, latency recording), timeout
+  /// seals, FIFO launches and controller epochs -- strictly in time order
+  /// up to `now`.  In drain mode it runs to quiescence instead (epochs
+  /// fire only while real work remains, so the loop terminates).
+  void RunEvents(double now, bool drain);
+  /// Publishes a completed admitted request's cache entry and serves the
+  /// followers coalesced onto it.  No-op for requests that lead no key.
+  void PublishToCache(std::size_t idx, double done_s);
   void ResetStream();
 
   // Tracing (all no-ops when tracer_ is null).
@@ -327,21 +348,6 @@ class ServingEngine {
   /// worker track the earliest-free recurrence picked.
   void EmitScheduleSpans(const DispatchSchedule& sched);
 
-  // Adaptive path (controller_ engaged).
-  bool PushAdaptive(const TimedRequest& request, MatrixF input,
-                    std::size_t ordinal);
-  void AdmitToTier(std::size_t tier, const TimedRequest& request,
-                   MatrixF input, std::size_t ordinal, double root_arrival,
-                   bool escalate);
-  void SealOpenTier(std::size_t tier, BatchSeal seal, double ready_s);
-  /// Runs the virtual-time event loop -- batch completions (escalation
-  /// re-injection, latency recording), timeout seals, FIFO launches and
-  /// controller epochs -- strictly in time order up to `now`.  In drain
-  /// mode it runs to quiescence instead (epochs fire only while real work
-  /// remains, so the loop terminates).
-  void RunAdaptiveEvents(double now, bool drain);
-  ServingResult DrainAdaptive();
-
   const ModelInstance& model_;
   ServingEngineConfig cfg_;
   BatchRunner runner_;
@@ -356,10 +362,6 @@ class ServingEngine {
   std::vector<MatrixF> inputs_;             ///< parallel to admitted_
   std::vector<std::size_t> offered_ids_;    ///< parallel to admitted_
   std::vector<FormedBatch> sealed_;         ///< incrementally formed
-  std::size_t open_start_ = 0;  ///< first admitted index of the open batch
-  bool open_active_ = false;
-  double open_s_ = 0;
-  std::size_t open_tokens_ = 0;
   std::vector<double> worker_free_;
   std::size_t next_launch_ = 0;  ///< first unlaunched sealed batch
   std::size_t launched_ = 0;     ///< admitted requests already launched
@@ -369,7 +371,6 @@ class ServingEngine {
   // Token accounting for routing introspection (virtual time).
   std::size_t waiting_tokens_ = 0;     ///< admitted, batch not launched
   std::size_t in_service_tokens_ = 0;  ///< launched, batch not done
-  std::vector<std::pair<double, std::size_t>> in_flight_;  ///< (done_s, tokens)
 
   // Cache layer (null/empty when disabled).
   std::shared_ptr<ResultCache> cache_;
@@ -377,23 +378,23 @@ class ServingEngine {
   InFlightTable inflight_;
   CacheStats cache_stats_;  ///< per-stream engine-side counters
   std::vector<CacheServedRequest> cache_served_;
-  std::vector<CacheKey> admitted_keys_;  ///< parallel to admitted_
-  /// Launched batches whose virtual completion has not been published to
-  /// the cache yet: (done_s, sealed ordinal).
-  std::vector<std::pair<double, std::size_t>> pending_done_;
+  /// Parallel to admitted_: the key each request leads, kNullCacheKey for
+  /// uncacheable requests, degraded passes and escalated re-runs.
+  std::vector<CacheKey> admitted_keys_;
   double cache_epoch_ = 0;      ///< virtual-clock offset across streams
   double last_completion_ = 0;  ///< latest completion seen this stream
 
-  // Adaptive layer (engaged only when cfg.adapt.enabled).
-  /// One per-tier open batch (the adaptive former interleaves tiers, so
-  /// members are explicit indices rather than a contiguous range).
+  // Service ladder (a plain replica runs a one-tier ladder).
+  /// One per-tier open batch (the former interleaves tiers, so members
+  /// are explicit indices rather than a contiguous range).
   struct OpenTier {
     bool active = false;
     double open_s = 0;
     std::size_t tokens = 0;
     std::vector<std::size_t> members;  ///< admitted indices
   };
-  std::optional<AdaptiveController> controller_;
+  std::vector<ServiceTier> tiers_;  ///< adapt.tiers, or the one full tier
+  std::optional<AdaptiveController> controller_;  ///< adaptive runs only
   std::vector<BatchServiceModel> tier_services_;  ///< resolved per tier
   /// Collectives term of the sharded backend's price, for attributing
   /// each sharded batch's interconnect tail as its own trace sub-span.

@@ -146,13 +146,12 @@ TEST(ServiceModelSpecTest, ChecksAndBuildsEveryBase) {
   EXPECT_DOUBLE_EQ(padded({100, 50}),
                    spec.batch_overhead_s + 2 * 100 * spec.seconds_per_token);
 
-  // The deprecated factories are shims over the same surface: identical
-  // spec, identical price.
+  // The accelerator base prices exactly like the performance twin.
   spec.base = ServiceModelSpec::Base::kAccelerator;
   spec.model = SmallModel().config();
   const std::vector<std::size_t> batch = {96, 64};
   EXPECT_EQ(BuildServiceModel(spec)(batch),
-            AcceleratorServiceModel(spec.model, spec.accel)(batch));
+            RunAccelerator(spec.model, batch, spec.accel).latency_s);
 }
 
 TEST(ServiceModelSpecTest, TierModelsPriceSparserTiersNoSlower) {

@@ -399,7 +399,7 @@ TEST(ServingValidationTest, RejectsEachBadFieldWithClearMessage) {
 
   auto message_of = [](const ServingConfig& c) -> std::string {
     try {
-      ValidateServingConfig(c);
+      ThrowOnIssues("ServingConfig", CheckServingConfig(c));
     } catch (const std::invalid_argument& e) {
       return e.what();
     }
@@ -432,7 +432,7 @@ TEST(ServingValidationTest, RejectsEachBadFieldWithClearMessage) {
   bad.former.timeout_s = std::numeric_limits<double>::quiet_NaN();
   EXPECT_NE(message_of(bad).find("former.timeout_s"), std::string::npos);
 
-  EXPECT_NO_THROW(ValidateServingConfig(cfg));
+  EXPECT_TRUE(CheckServingConfig(cfg).empty());
 }
 
 TEST(ServingValidationTest, SimulateServingValidates) {

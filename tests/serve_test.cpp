@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -154,14 +155,14 @@ TEST(BatchFormerTest, SortByLengthReordersWithinBatchOnly) {
 TEST(BatchFormerTest, ValidatesConfig) {
   BatchFormerConfig cfg;
   cfg.max_batch = 0;
-  EXPECT_THROW(ValidateBatchFormerConfig(cfg), std::invalid_argument);
+  EXPECT_TRUE(HasIssueFor(CheckBatchFormerConfig(cfg), "max_batch"));
   cfg.max_batch = 4;
   cfg.timeout_s = -1;
-  EXPECT_THROW(ValidateBatchFormerConfig(cfg), std::invalid_argument);
+  EXPECT_TRUE(HasIssueFor(CheckBatchFormerConfig(cfg), "timeout_s"));
   cfg.timeout_s = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(ValidateBatchFormerConfig(cfg), std::invalid_argument);
+  EXPECT_TRUE(HasIssueFor(CheckBatchFormerConfig(cfg), "timeout_s"));
   cfg.timeout_s = 0.01;
-  EXPECT_NO_THROW(ValidateBatchFormerConfig(cfg));
+  EXPECT_TRUE(CheckBatchFormerConfig(cfg).empty());
 }
 
 // ------------------------------------------------------------ Dispatch --
@@ -173,7 +174,7 @@ TEST(DispatchTest, SingleRequestLatencyIsTimeoutPlusService) {
   former.timeout_s = 0.05;
   const auto batches = FormBatches(trace, former);
   const auto service = TokenLinearServiceModel(1e-3, 0.01);  // 25ms + 10ms
-  const auto sched = ScheduleFormedBatches(trace, batches, 1, service);
+  const auto sched = ScheduleFormedBatches(trace, batches, 1, {service});
   ASSERT_EQ(sched.report.requests, 1u);
   EXPECT_NEAR(sched.report.mean_latency_s, 0.05 + 0.025 + 0.01, 1e-12);
   EXPECT_DOUBLE_EQ(sched.launch_s[0], 0.55);
@@ -190,12 +191,12 @@ TEST(DispatchTest, SecondWorkerAbsorbsConcurrentBatches) {
   const auto batches = FormBatches(trace, former);
   ASSERT_EQ(batches.size(), 2u);
   const auto service = TokenLinearServiceModel(0, 1.0);  // 1 s per batch
-  const auto one = ScheduleFormedBatches(trace, batches, 1, service);
-  const auto two = ScheduleFormedBatches(trace, batches, 2, service);
+  const auto one = ScheduleFormedBatches(trace, batches, 1, {service});
+  const auto two = ScheduleFormedBatches(trace, batches, 2, {service});
   EXPECT_GT(one.done_s[1], two.done_s[1] + 0.9);
   EXPECT_GT(one.report.p99_latency_s, two.report.p99_latency_s);
   EXPECT_LE(two.report.device_busy_frac, 1.0 + 1e-9);
-  EXPECT_THROW(ScheduleFormedBatches(trace, batches, 0, service),
+  EXPECT_THROW(ScheduleFormedBatches(trace, batches, 0, {service}),
                std::invalid_argument);
 }
 
@@ -295,6 +296,43 @@ TEST(ServingEngineTest, EngineBatchesMatchSharedFormer) {
     EXPECT_EQ(res.batches[b].ready_s, expected[b].ready_s);
     EXPECT_EQ(res.batches[b].tokens, expected[b].tokens);
     EXPECT_EQ(res.batches[b].seal, expected[b].seal);
+  }
+}
+
+TEST(ServingEngineTest, ArrivalAtTimeoutDeadlineJoinsOpenBatch) {
+  // FormBatches' tie rule: a request arriving exactly at open_s + timeout
+  // joins the open batch; one arriving a hair later starts the next.  A
+  // plain engine and an adaptive one (slack SLO, so the controller stays
+  // at tier 0) must both form exactly FormBatches' batches.
+  const double late = std::nextafter(1.25, 2.0);
+  const auto trace = HandTrace({{0.0, 20}, {0.25, 30}, {1.0, 40}, {late, 50}});
+  BatchFormerConfig former;
+  former.max_batch = 8;
+  former.timeout_s = 0.25;
+  const auto expected = FormBatches(trace, former);
+  ASSERT_EQ(expected.size(), 3u);
+  ASSERT_EQ(expected[0].indices, (std::vector<std::size_t>{0, 1}));
+
+  for (bool adaptive : {false, true}) {
+    auto cfg = SmallEngineConfig();
+    cfg.former = former;
+    cfg.execute = false;
+    if (adaptive) {
+      cfg.adapt.enabled = true;
+      cfg.adapt.slo_p99_s = 10;
+      cfg.adapt.tiers = {ServiceTier{16, false, 1.0},
+                         ServiceTier{8, false, 0.95}};
+    }
+    ServingEngine engine(SmallModel(), cfg);
+    const ServingResult res = engine.Replay(trace);
+    ASSERT_EQ(res.batches.size(), expected.size()) << "adaptive=" << adaptive;
+    for (std::size_t b = 0; b < expected.size(); ++b) {
+      EXPECT_EQ(res.batches[b].indices, expected[b].indices)
+          << "adaptive=" << adaptive << " batch " << b;
+      EXPECT_EQ(res.batches[b].ready_s, expected[b].ready_s);
+      EXPECT_EQ(res.batches[b].seal, expected[b].seal);
+      EXPECT_EQ(res.batches[b].tier, 0u);
+    }
   }
 }
 
