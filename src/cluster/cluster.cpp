@@ -47,14 +47,6 @@ ConfigIssues CheckClusterConfig(const ClusterConfig& cfg) {
                      std::string(ClusterCacheModeName(cfg.cache.mode)) +
                      "); configure one or the other");
       }
-      if (cfg.replicas[i].engine.adapt.enabled) {
-        AddIssue(
-            issues,
-            "replica[" + std::to_string(i) + "].engine.adapt.enabled",
-            "conflicts with the cluster-managed cache (the engine forbids "
-            "cache + adaptive; drop the fleet cache or this replica's "
-            "adaptive layer)");
-      }
     }
   }
   const bool execute = cfg.replicas.front().engine.execute;
@@ -184,17 +176,10 @@ bool ServingCluster::PushImpl(const TimedRequest& request, MatrixF input,
     const bool accepted =
         execute_
             ? replicas_[idx]->Offer(
-                  request,
-                  has_input ? std::move(input)
-                            : request.id != kAnonymousId
-                                  ? SynthesizeIdentityEmbedding(
-                                        cfg_.embed_seed, request.id,
-                                        request.length,
-                                        model_.config().encoder.hidden)
-                                  : SynthesizeRequestEmbedding(
-                                        cfg_.embed_seed, ordinal,
-                                        request.length,
-                                        model_.config().encoder.hidden))
+                  request, has_input ? std::move(input)
+                                     : SynthesizeEmbedding(
+                                           cfg_.embed_seed, request, ordinal,
+                                           model_.config().encoder.hidden))
             : replicas_[idx]->Offer(request);
     if (!accepted) {
       // The snapshot said there was room; the engine disagreeing means the

@@ -105,15 +105,6 @@ ConfigIssues CheckDesignPoint(const DesignPoint& dp) {
                 CheckRouterConfig(dp.router, dp.replicas.size()));
   if (dp.cache_mode != ClusterCacheMode::kNone) {
     MergePrefixed(issues, "cache", CheckResultCacheConfig(dp.cache));
-    for (std::size_t i = 0; i < dp.replicas.size(); ++i) {
-      if (dp.replicas[i].adapt.enabled) {
-        AddIssue(issues,
-                 "replicas[" + std::to_string(i) + "].adapt.enabled",
-                 "conflicts with the fleet cache (the engine forbids "
-                 "cache + adaptive); drop the cache or this replica's "
-                 "adaptive layer");
-      }
-    }
   }
   return issues;
 }

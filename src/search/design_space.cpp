@@ -154,9 +154,8 @@ void RepairBudget(const DesignSpace& space, DesignPoint& dp) {
   }
 }
 
-void MutateReplicaKnob(const DesignSpace& space, DesignPoint& dp,
-                       std::size_t which, Rng& rng) {
-  ReplicaDesign& rd = dp.replicas[which];
+void MutateReplicaKnob(const DesignSpace& space, ReplicaDesign& rd,
+                       Rng& rng) {
   switch (rng.NextIndex(10)) {
     case 0:
       rd.former.max_batch =
@@ -211,18 +210,12 @@ void MutateReplicaKnob(const DesignSpace& space, DesignPoint& dp,
       // Adaptive toggle: enabling installs the canonical ladder with a
       // freshly drawn SLO; disabling restores the default-constructed
       // block so designs stay canonical (an unread adapt block would
-      // make otherwise-equal designs distinct JSON).  The engine forbids
-      // cache + adaptive, so enabling the layer also drops the fleet
-      // cache (the reverse cache move drops the adapt blocks) -- without
-      // the coupling one side of the conflict would be unreachable from
-      // the other.
+      // make otherwise-equal designs distinct JSON).
       if (rd.adapt.enabled || space.adapt_slo_menu.empty()) {
         rd.adapt = AdaptiveServingConfig{};
       } else {
         rd.adapt = CanonicalAdaptiveLadder(rd.top_k,
                                            Pick(space.adapt_slo_menu, rng));
-        dp.cache_mode = ClusterCacheMode::kNone;
-        dp.cache = NoCache();
       }
       break;
   }
@@ -236,13 +229,6 @@ void MutateCache(const DesignSpace& space, DesignPoint& dp, Rng& rng) {
       dp.cache = NoCache();
     } else if (!had_store) {
       SampleCacheStore(space, dp, rng);
-    }
-    if (dp.cache_mode != ClusterCacheMode::kNone) {
-      // Cache + adaptive is forbidden; turning the store on evicts the
-      // adapt blocks (mirrors the adaptive toggle dropping the cache).
-      for (ReplicaDesign& rd : dp.replicas) {
-        rd.adapt = AdaptiveServingConfig{};
-      }
     }
     return;
   }
@@ -378,10 +364,6 @@ DesignPoint SampleDesign(const DesignSpace& space, Rng& rng) {
   dp.cache_mode = Pick(space.cache_mode_menu, rng);
   if (dp.cache_mode != ClusterCacheMode::kNone) {
     SampleCacheStore(space, dp, rng);
-    // The engine forbids cache + adaptive on one replica; the sample
-    // keeps the drawn store and drops the adaptive layers so it always
-    // passes CheckInSpace (mutation can reintroduce either side).
-    for (ReplicaDesign& rd : dp.replicas) rd.adapt = AdaptiveServingConfig{};
   } else {
     dp.cache = NoCache();
   }
@@ -423,7 +405,8 @@ DesignPoint MutateDesign(const DesignSpace& space, const DesignPoint& dp,
   // Knob move (cases 2-5, and the fallback when a fleet move was not
   // applicable at the current size).
   if (!next.replicas.empty()) {
-    MutateReplicaKnob(space, next, rng.NextIndex(next.replicas.size()), rng);
+    ReplicaDesign& rd = next.replicas[rng.NextIndex(next.replicas.size())];
+    MutateReplicaKnob(space, rd, rng);
   }
   return next;
 }

@@ -33,6 +33,16 @@ MatrixF SynthesizeIdentityEmbedding(std::uint64_t base_seed, std::uint64_t id,
   return MakeInputEmbedding(rng, length, hidden);
 }
 
+MatrixF SynthesizeEmbedding(std::uint64_t base_seed,
+                            const TimedRequest& request, std::size_t ordinal,
+                            std::size_t hidden) {
+  return request.id != kAnonymousId
+             ? SynthesizeIdentityEmbedding(base_seed, request.id,
+                                           request.length, hidden)
+             : SynthesizeRequestEmbedding(base_seed, ordinal, request.length,
+                                          hidden);
+}
+
 ConfigIssues CheckServingEngineConfig(const ServingEngineConfig& cfg) {
   ConfigIssues issues;
   MergePrefixed(issues, "former", CheckBatchFormerConfig(cfg.former));
@@ -58,11 +68,6 @@ ConfigIssues CheckServingEngineConfig(const ServingEngineConfig& cfg) {
   }
   if (cfg.adapt.enabled) {
     MergePrefixed(issues, "adapt", CheckAdaptiveServingConfig(cfg.adapt));
-    if (cfg.cache.enabled) {
-      AddIssue(issues, "adapt.enabled",
-               "cannot combine the adaptive layer with the result cache "
-               "(a cached result's tier is unknowable; pick one)");
-    }
     if (!cfg.adapt.tiers.empty() &&
         cfg.inference.mode != InferenceMode::kDenseFloat &&
         cfg.inference.mode != InferenceMode::kDenseInt8 &&
@@ -100,14 +105,14 @@ ServingEngine::ServingEngine(const ModelInstance& model,
   // model at the inference config's top-k, no escalation, no controller.
   if (cfg_.adapt.enabled) {
     tiers_ = cfg_.adapt.tiers;
+    tier_services_ = cfg_.tier_services;
     controller_.emplace(cfg_.adapt);
   } else {
     tiers_ = {ServiceTier{cfg_.inference.sparse.top_k, false, 1.0}};
   }
-  tier_services_ = cfg_.adapt.enabled && !cfg_.tier_services.empty()
-                       ? cfg_.tier_services
-                       : std::vector<BatchServiceModel>(tiers_.size(),
-                                                        cfg_.service);
+  if (tier_services_.empty()) {
+    tier_services_.assign(tiers_.size(), cfg_.service);
+  }
   if (cfg_.backend == BackendMode::kSharded) {
     // Each worker slot is a gang: wrap every tier's price (the chosen or
     // defaulted model) with the tensor-parallel compute share and the
@@ -271,28 +276,24 @@ bool ServingEngine::Push(const TimedRequest& request,
     // Probe on the exact embedding Drain() would execute (provided, or
     // synthesized from request identity), so accounting-only and execute
     // runs of the same stream make identical escalation decisions.
-    const std::size_t hidden = model_.config().encoder.hidden;
-    MatrixF synth;
-    const MatrixF* probe_x = &x;
-    if (x.empty()) {
-      synth = request.id != kAnonymousId
-                  ? SynthesizeIdentityEmbedding(cfg_.embed_seed, request.id,
-                                                request.length, hidden)
-                  : SynthesizeRequestEmbedding(cfg_.embed_seed, ordinal,
-                                               request.length, hidden);
-      probe_x = &synth;
-    }
+    const MatrixF synth =
+        x.empty() ? SynthesizeEmbedding(cfg_.embed_seed, request, ordinal,
+                                        model_.config().encoder.hidden)
+                  : MatrixF{};
     const EscalationProbe probe = ProbeSelectorMargin(
-        *probe_x, model_, tiers_[tier].top_k, cfg_.adapt.escalate_bits,
-        cfg_.adapt.escalate_rows);
+        x.empty() ? synth : x, model_, tiers_[tier].top_k,
+        cfg_.adapt.escalate_bits, cfg_.adapt.escalate_rows);
     escalate = ShouldEscalate(probe, cfg_.adapt.escalate_margin);
   }
   ++admission_.accepted;
   admission_.peak_queue = std::max(admission_.peak_queue, waiting + 1);
   planned_acc_sum_ += tiers_[tier].accuracy;
   ++planned_count_;
+  // Only full-quality first passes lead a cache key, so every hit and
+  // every coalesced follower receives a tier-0 output; a degraded pass
+  // (and its escalated re-run) never touches the cache.
   AdmitToTier(tier, request, std::move(x), ordinal, request.arrival_s,
-              escalate, key);
+              escalate, tier == 0 ? key : kNullCacheKey);
   return true;
 }
 
@@ -602,15 +603,11 @@ ServingResult ServingEngine::Drain() {
     // the content id when the request carries one (so repeats are
     // byte-identical) and the Push() ordinal otherwise, so outputs do
     // not depend on batching, rejections, tiers or cache outcomes.
-    const std::size_t hidden = model_.config().encoder.hidden;
     for (std::size_t i = 0; i < admitted_.size(); ++i) {
       if (inputs_[i].empty()) {
-        inputs_[i] =
-            admitted_[i].id != kAnonymousId
-                ? SynthesizeIdentityEmbedding(cfg_.embed_seed, admitted_[i].id,
-                                              admitted_[i].length, hidden)
-                : SynthesizeRequestEmbedding(cfg_.embed_seed, offered_ids_[i],
-                                             admitted_[i].length, hidden);
+        inputs_[i] = SynthesizeEmbedding(cfg_.embed_seed, admitted_[i],
+                                         offered_ids_[i],
+                                         model_.config().encoder.hidden);
       }
     }
     // Execute every formed batch on the batched runtime, in dispatch

@@ -36,9 +36,15 @@
 //   * coalesced -- an identical request is admitted but its batch has not
 //                  completed in virtual time: attach as a follower and
 //                  complete with the leader (one execution, N responses);
-//   * miss      -- admitted normally as the leader for its key; when its
-//                  batch completes in virtual time the entry becomes
-//                  visible, and the tensor is materialized at Drain().
+//   * miss      -- admitted normally; when it is admitted at tier 0 it
+//                  leads its key: when its batch completes in virtual
+//                  time the entry becomes visible, and the tensor is
+//                  materialized at Drain().  A miss admitted at a
+//                  degraded tier (and its escalated re-run) never touches
+//                  the cache, so every hit and follower gets a
+//                  full-quality output.  Hits and followers bypass the
+//                  ladder: they are not in the controller's latency
+//                  window, the tier usage or mean_accuracy.
 // Everything the cache decides -- hits, TTL expiry, LRU/SLRU eviction --
 // runs on the same virtual clock as dispatch, so cached runs keep the
 // engine's determinism contract: outputs are bit-exact against an
@@ -109,7 +115,8 @@ struct ServingEngineConfig {
   /// SLO-driven admission/degradation layer (adapt/controller.hpp).
   /// Disabled by default; when enabled the engine forms per-tier batches,
   /// escalates uncertain cheap-tier results to tier 0 and sheds only as a
-  /// last resort.  Incompatible with the result cache.
+  /// last resort.  Composes with the result cache: only tier-0 first
+  /// passes publish results, and cache-served requests skip the ladder.
   AdaptiveServingConfig adapt;
   /// Per-tier service models, parallel to `adapt.tiers` (build with
   /// BuildTierServiceModels, serve/service_model.hpp).  Empty = every tier
@@ -143,6 +150,13 @@ MatrixF SynthesizeRequestEmbedding(std::uint64_t base_seed,
 /// path, so id spaces and ordinal spaces never alias.
 MatrixF SynthesizeIdentityEmbedding(std::uint64_t base_seed, std::uint64_t id,
                                     std::size_t length, std::size_t hidden);
+
+/// The embedding the engine serves for `request` pushed without one:
+/// SynthesizeIdentityEmbedding when it carries a content id, else
+/// SynthesizeRequestEmbedding from its Push ordinal.
+MatrixF SynthesizeEmbedding(std::uint64_t base_seed,
+                            const TimedRequest& request, std::size_t ordinal,
+                            std::size_t hidden);
 
 /// Admission accounting under backpressure.  With a cache in front,
 /// offered counts every Push() while accepted/rejected only cover the
@@ -254,9 +268,10 @@ class ServingEngine {
     return controller_ ? controller_->level() : 0;
   }
 
-  /// Advances virtual time to `now` without offering a request: seals a
-  /// timed-out open batch, launches sealed batches whose dispatch time has
-  /// passed and retires completed ones.  Routers call this on every
+  /// Advances virtual time to `now` without offering a request: seals
+  /// open batches whose deadline lies strictly before `now` (a request
+  /// arriving exactly at the deadline still joins), launches sealed
+  /// batches whose dispatch time has passed and retires completed ones.  Routers call this on every
   /// replica before reading queue_depth() / outstanding_tokens(), so load
   /// signals are comparable across replicas at the arrival instant.
   /// Idempotent; a `now` earlier than the last observed time is a no-op.

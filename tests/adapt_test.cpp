@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -115,8 +116,8 @@ TEST(AdaptiveControllerTest, EngineConfigCrossChecks) {
   ServingEngineConfig cfg = AdaptiveEngineConfig();
   EXPECT_TRUE(CheckServingEngineConfig(cfg).empty());
 
-  cfg.cache.enabled = true;
-  EXPECT_TRUE(HasIssueFor(CheckServingEngineConfig(cfg), "adapt.enabled"));
+  cfg.cache.enabled = true;  // the ladder composes with the result cache
+  EXPECT_TRUE(CheckServingEngineConfig(cfg).empty());
   cfg.cache.enabled = false;
 
   cfg.inference.sparse.top_k = 30;  // tier 0 no longer the full service
@@ -350,6 +351,161 @@ TEST(AdaptiveEngineTest, PushValidatesTheOptionalInput) {
   EXPECT_EQ(res.report().requests, 2u);
 }
 
+// ------------------------------------------------- cache + adaptive --
+
+/// Zipf-popular content on an overload ramp: arrival times from a ramp
+/// trace, (id, length) from a Zipf trace of the same size, so repeats
+/// keep arriving while the controller walks down the ladder and back.
+std::vector<TimedRequest> ZipfRampTrace() {
+  RampTraceConfig ramp;
+  ramp.stages = {{2000, 32}, {20000, 64}, {2000, 32}};
+  ramp.seed = 5;
+  ZipfTraceConfig zipf;
+  zipf.requests = 128;
+  zipf.population = 64;
+  zipf.skew = 1.0;
+  zipf.seed = 5;
+  std::vector<TimedRequest> trace = GenerateRampTrace(ramp, Rte());
+  const std::vector<TimedRequest> content = GenerateZipfTrace(zipf, Rte());
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    trace[i].id = content[i].id;
+    trace[i].length = content[i].length;
+  }
+  return trace;
+}
+
+/// The canonical ladder behind a result cache, with distinct per-tier
+/// pricing and a hair-trigger controller so the ramp degrades, escalates
+/// part of the bottom rung and sheds.
+ServingEngineConfig CachedAdaptiveConfig() {
+  ServingEngineConfig cfg = AdaptiveEngineConfig();
+  cfg.queue_capacity = 16;
+  cfg.adapt = search::CanonicalAdaptiveLadder(16, 0.01);
+  cfg.adapt.epoch_s = 0.0005;
+  cfg.adapt.queue_ref = 2;
+  cfg.adapt.escalate_margin = 0.15;
+  cfg.service = TokenLinearServiceModel(3e-6, 2e-4);
+  cfg.tier_services = {TokenLinearServiceModel(3e-6, 2e-4),
+                       TokenLinearServiceModel(1.5e-6, 2e-4),
+                       TokenLinearServiceModel(7.5e-7, 2e-4)};
+  cfg.cache.enabled = true;
+  cfg.cache.key_policy = CacheKeyPolicy::kRequestId;
+  return cfg;
+}
+
+/// Checks the accounting every cached adaptive run must satisfy and that
+/// the run exercised every path (degrade, escalate, shed, hit, coalesce).
+void ExpectCachedAdaptiveAccounting(const ServingResult& res) {
+  const AdmissionStats& a = res.admission;
+  EXPECT_EQ(a.offered, a.accepted + a.rejected + res.cache.hits +
+                           res.cache.coalesced);
+  EXPECT_EQ(res.cache_served.size(), res.cache.hits + res.cache.coalesced);
+  EXPECT_GT(a.rejected, 0u);
+  EXPECT_GT(res.cache.hits, 0u);
+  EXPECT_GT(res.cache.coalesced, 0u);
+  // Hits and followers bypass the ladder: tier usage counts admitted
+  // requests only, and the pooled report adds the cache-served ones.
+  const ServingReport& report = res.report();
+  ASSERT_EQ(report.tiers.size(), 3u);
+  std::size_t tiered = 0;
+  for (const TierUsage& tier : report.tiers) tiered += tier.requests;
+  EXPECT_EQ(tiered, a.accepted);
+  EXPECT_EQ(report.requests, a.accepted + res.cache_served.size());
+  EXPECT_GT(report.tiers[2].requests, 0u);  // degraded results stand
+  EXPECT_GT(report.tiers[2].escalated, 0u);  // and some were re-run
+  // A follower or pending hit names its leader: always a full-quality
+  // first pass that stands, never a degraded or superseded one.
+  for (const CacheServedRequest& served : res.cache_served) {
+    if (served.leader_admitted == CacheServedRequest::npos()) continue;
+    ASSERT_LT(served.leader_admitted, res.request_tiers.size());
+    EXPECT_EQ(res.request_tiers[served.leader_admitted], 0u);
+    EXPECT_EQ(res.superseded[served.leader_admitted], 0u);
+  }
+}
+
+TEST(CachedAdaptiveTest, HitsAndFollowersAreFullQuality) {
+  const auto trace = ZipfRampTrace();
+  const ServingEngineConfig cfg = CachedAdaptiveConfig();
+  ServingEngine engine(SmallModel(), cfg);
+  const ServingResult res = engine.Replay(trace);
+  ExpectCachedAdaptiveAccounting(res);
+
+  // Tier-0 reference per identity: a sequential full-model Forward on
+  // the identity's synthesized embedding.
+  const std::size_t hidden = SmallModel().config().encoder.hidden;
+  std::map<std::uint64_t, MatrixF> reference;
+  auto full = [&](const TimedRequest& r) -> const MatrixF& {
+    auto it = reference.find(r.id);
+    if (it == reference.end()) {
+      const MatrixF x =
+          SynthesizeIdentityEmbedding(cfg.embed_seed, r.id, r.length, hidden);
+      it = reference.emplace(r.id, SmallModel().Forward(x, cfg.inference))
+               .first;
+    }
+    return it->second;
+  };
+  for (const CacheServedRequest& served : res.cache_served) {
+    EXPECT_EQ(served.output, full(trace[served.offered_id]))
+        << "offered " << served.offered_id
+        << (served.coalesced ? " (follower)" : " (hit)");
+  }
+  // No degraded result ever reached the store: every entry it holds is
+  // the full-quality output of its identity.
+  std::size_t entries = 0;
+  for (const TimedRequest& r : trace) {
+    const CacheEntry* entry = engine.cache()->Peek(
+        RequestIdKey(r.id, r.length), engine.cache_epoch());
+    if (entry == nullptr) continue;
+    ++entries;
+    EXPECT_EQ(entry->value, full(r)) << "id " << r.id;
+  }
+  EXPECT_GT(entries, 0u);
+}
+
+TEST(CachedAdaptiveTest, AccountingOnlyIsByteIdenticalAcrossThreadCounts) {
+  const auto trace = ZipfRampTrace();
+  ServingResult reference;
+  for (std::size_t threads : {1u, 4u}) {
+    ServingEngineConfig cfg = CachedAdaptiveConfig();
+    cfg.execute = false;
+    cfg.threads = threads;
+    ServingEngine engine(SmallModel(), cfg);
+    ServingResult res = engine.Replay(trace);
+    ExpectCachedAdaptiveAccounting(res);
+    if (threads == 1) {
+      reference = std::move(res);
+      continue;
+    }
+    ASSERT_EQ(res.batches.size(), reference.batches.size());
+    for (std::size_t b = 0; b < res.batches.size(); ++b) {
+      EXPECT_EQ(res.batches[b].indices, reference.batches[b].indices);
+      EXPECT_EQ(res.batches[b].ready_s, reference.batches[b].ready_s);
+      EXPECT_EQ(res.batches[b].tier, reference.batches[b].tier);
+    }
+    EXPECT_EQ(res.offered_ids, reference.offered_ids);
+    EXPECT_EQ(res.request_tiers, reference.request_tiers);
+    EXPECT_EQ(res.superseded, reference.superseded);
+    ASSERT_EQ(res.cache_served.size(), reference.cache_served.size());
+    for (std::size_t i = 0; i < res.cache_served.size(); ++i) {
+      const CacheServedRequest& a = res.cache_served[i];
+      const CacheServedRequest& b = reference.cache_served[i];
+      EXPECT_EQ(a.offered_id, b.offered_id);
+      EXPECT_EQ(a.done_s, b.done_s);
+      EXPECT_EQ(a.coalesced, b.coalesced);
+      EXPECT_EQ(a.leader_admitted, b.leader_admitted);
+    }
+    EXPECT_EQ(res.cache.hits, reference.cache.hits);
+    EXPECT_EQ(res.cache.coalesced, reference.cache.coalesced);
+    EXPECT_EQ(res.cache.misses, reference.cache.misses);
+    EXPECT_EQ(res.cache.store.insertions, reference.cache.store.insertions);
+    EXPECT_EQ(res.admission.rejected, reference.admission.rejected);
+    EXPECT_EQ(res.report().mean_latency_s, reference.report().mean_latency_s);
+    EXPECT_EQ(res.report().p99_latency_s, reference.report().p99_latency_s);
+    EXPECT_EQ(res.report().throughput_rps, reference.report().throughput_rps);
+    EXPECT_EQ(res.report().mean_accuracy, reference.report().mean_accuracy);
+  }
+}
+
 // ------------------------------------------------- routing & search --
 
 TEST(LeastDegradedRoutingTest, PrefersFullQualityThenShortQueue) {
@@ -397,36 +553,36 @@ TEST(DesignPointAdaptTest, JsonRoundTripsAndSpaceAcceptsCanonicalLadder) {
   EXPECT_TRUE(
       HasIssueFor(search::CheckInSpace(space, dp), "replicas[0].adapt"));
   dp.replicas[0].adapt.tiers[2].escalate = true;
-  // ...and the adaptive layer conflicts with a fleet cache.
+  // ...and the adaptive layer composes with a fleet cache.
   dp.cache_mode = ClusterCacheMode::kPerReplica;
   dp.cache.enabled = true;
-  EXPECT_TRUE(HasIssueFor(search::CheckDesignPoint(dp),
-                          "replicas[0].adapt.enabled"));
+  EXPECT_TRUE(search::CheckDesignPoint(dp).empty());
 }
 
 TEST(DesignPointAdaptTest, MutationWalkStaysLegalOrRejected) {
   // The SA contract: every sample passes CheckInSpace, and every mutation
   // either passes or is named-field rejected -- never throws.
   search::DesignSpace space;
-  // Restrict the cache menu so the walk is not stuck behind the
-  // cache-vs-adaptive conflict for this seed; the conflict itself is
-  // covered by JsonRoundTripsAndSpaceAcceptsCanonicalLadder.
-  space.cache_mode_menu = {ClusterCacheMode::kNone};
   Rng rng(17);
   search::DesignPoint dp = search::SampleDesign(space, rng);
   EXPECT_TRUE(search::CheckInSpace(space, dp).empty());
   std::size_t adaptive_seen = 0;
+  std::size_t cached_adaptive_seen = 0;
   for (int step = 0; step < 400; ++step) {
     const search::DesignPoint next = search::MutateDesign(space, dp, rng);
     if (search::CheckInSpace(space, next).empty()) {
       dp = next;
       for (const auto& rd : dp.replicas) {
-        if (rd.adapt.enabled) ++adaptive_seen;
+        if (!rd.adapt.enabled) continue;
+        ++adaptive_seen;
+        if (dp.cache_mode != ClusterCacheMode::kNone) ++cached_adaptive_seen;
       }
     }
   }
-  // The adapt arm is actually reachable by the walk.
+  // The adapt arm is actually reachable by the walk, with and without a
+  // fleet cache in front of it.
   EXPECT_GT(adaptive_seen, 0u);
+  EXPECT_GT(cached_adaptive_seen, 0u);
 }
 
 }  // namespace
