@@ -10,7 +10,7 @@
 
 #include "core/sparse_attention.hpp"
 #include "model/config.hpp"
-#include "nn/qlinear.hpp"
+#include "nn/encoder.hpp"
 #include "runtime/batch_runner.hpp"
 
 namespace latte {
@@ -44,14 +44,13 @@ class ModelInstance {
   /// Materializes `cfg.layers` encoder layers of weights.
   ModelInstance(const ModelConfig& cfg, std::uint64_t seed);
 
-  /// Runs the full encoder stack on x (n x hidden).
-  /// If `stats` is non-null it receives one entry per layer.
-  /// If `scratch` is non-null the sparse modes lease their per-row
-  /// temporaries from it (the batch runtime passes one per worker).
-  /// If `workspace` is non-null the float encoder layers additionally
-  /// lease their GEMM intermediates and pack buffers from it; when it is
-  /// null each layer runs on a call-local arena.  Outputs are
-  /// bit-identical either way (same kernels, different buffers).
+  /// Runs the full encoder stack on x (n x hidden); every mode runs the
+  /// one encoder-layer body (EncoderForwardWorkspace) on `workspace`, or
+  /// on a call-local arena when it is null.  If `stats` is non-null it
+  /// receives one entry per layer.  The sparse modes lease their per-row
+  /// temporaries from `scratch`, defaulting to the workspace's.  Outputs
+  /// are bit-identical whichever buffers are passed (same kernels,
+  /// different buffers).
   MatrixF Forward(const MatrixF& x, const InferenceConfig& inf,
                   std::vector<LayerRunStats>* stats = nullptr,
                   AttentionScratch* scratch = nullptr,

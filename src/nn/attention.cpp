@@ -65,25 +65,4 @@ std::vector<MatrixF> SplitHeads(const MatrixF& x, std::size_t heads) {
   return out;
 }
 
-MatrixF ConcatHeads(const std::vector<MatrixF>& heads) {
-  if (heads.empty()) return {};
-  const std::size_t n = heads.front().rows();
-  std::size_t total = 0;
-  for (const auto& h : heads) {
-    if (h.rows() != n) {
-      throw std::invalid_argument("ConcatHeads: row count mismatch");
-    }
-    total += h.cols();
-  }
-  MatrixF out(n, total);
-  std::size_t off = 0;
-  for (const auto& h : heads) {
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = 0; j < h.cols(); ++j) out(i, off + j) = h(i, j);
-    }
-    off += h.cols();
-  }
-  return out;
-}
-
 }  // namespace latte

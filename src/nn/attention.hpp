@@ -47,7 +47,4 @@ MatrixF DenseAttentionMaskedWorkspace(const MatrixF& q, const MatrixF& k,
 /// h/heads.  Throws if h is not divisible by heads.
 std::vector<MatrixF> SplitHeads(const MatrixF& x, std::size_t heads);
 
-/// Inverse of SplitHeads: concatenates per-head (n x d) blocks column-wise.
-MatrixF ConcatHeads(const std::vector<MatrixF>& heads);
-
 }  // namespace latte

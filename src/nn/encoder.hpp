@@ -1,10 +1,12 @@
 #pragma once
 // One Transformer encoder layer (Fig 1(a) of the paper), with the attention
 // operator pluggable so the dense reference and the sparse operator can be
-// swapped without touching the rest of the layer.
+// swapped without touching the rest of the layer, and the projection
+// weights either fp32 or int8 (the FPGA datapath) over one layer body.
 
 #include "nn/attention.hpp"
 #include "nn/linear.hpp"
+#include "nn/qlinear.hpp"
 #include "runtime/batch_runner.hpp"
 #include "tensor/rng.hpp"
 
@@ -30,6 +32,14 @@ struct EncoderWeights {
   std::vector<float> ln2_gamma, ln2_beta;  ///< post-FFN LayerNorm
 };
 
+/// All encoder parameters with matmul weights in int8.
+struct QuantizedEncoderWeights {
+  QuantizedLinear wq, wk, wv, wo, ffn1, ffn2;
+  std::vector<float> ln1_gamma, ln1_beta, ln2_gamma, ln2_beta;
+
+  static QuantizedEncoderWeights FromFloat(const EncoderWeights& w);
+};
+
 /// Deterministically initializes encoder weights (Xavier, LN gamma=1 beta=0).
 EncoderWeights MakeEncoderWeights(Rng& rng, const EncoderConfig& cfg);
 
@@ -38,38 +48,51 @@ EncoderWeights MakeEncoderWeights(Rng& rng, const EncoderConfig& cfg);
 ///   X1  = LayerNorm(X + A)
 ///   F   = GELU(X1 W1) W2
 ///   out = LayerNorm(X1 + F)
-/// `attn` runs per head; x is (n x hidden).  Thin shim: runs
-/// EncoderForwardWorkspace on a call-local Workspace, so outputs are
-/// bit-identical to the batched path.
-MatrixF EncoderForward(const MatrixF& x, const EncoderWeights& w,
-                       const EncoderConfig& cfg, const AttentionFn& attn);
-
-/// Workspace variant: every projection/FFN GEMM runs through the tiled
-/// kernel library with intermediates leased from `ws` (Float slots
-/// wslots::kEncoder*, pack buffer ws.gemm()), so one encoder layer at
-/// steady-state shapes allocates only per-head splits and the returned
-/// matrix.  `attn` may lease ws slots >= wslots::kAttentionScores.
+/// `attn` runs per head and must return an (n x head_dim) context, else
+/// std::invalid_argument; x is (n x hidden).  Every projection/FFN GEMM
+/// runs through `ws`: Float slots wslots::kEncoderQ/K/V (n x hidden) and
+/// kEncoderFfn (n x ffn), reused as the layer goes, and the pack/int8
+/// chunk buffers of ws.gemm(), so a layer at steady-state shapes allocates
+/// only per-head splits and the returned matrix.  `attn` may lease ws
+/// slots >= wslots::kAttentionScores.  The int8 overload quantizes each
+/// matmul's activations (QuantizedLinear), everything else is shared.
 MatrixF EncoderForwardWorkspace(const MatrixF& x, const EncoderWeights& w,
                                 const EncoderConfig& cfg,
                                 const AttentionFn& attn, Workspace& ws);
+MatrixF EncoderForwardWorkspace(const MatrixF& x,
+                                const QuantizedEncoderWeights& w,
+                                const EncoderConfig& cfg,
+                                const AttentionFn& attn, Workspace& ws);
+
+/// Thin shims: EncoderForwardWorkspace on a call-local Workspace (identical
+/// bits).
+MatrixF EncoderForward(const MatrixF& x, const EncoderWeights& w,
+                       const EncoderConfig& cfg, const AttentionFn& attn);
+MatrixF QuantizedEncoderForward(const MatrixF& x,
+                                const QuantizedEncoderWeights& w,
+                                const EncoderConfig& cfg,
+                                const AttentionFn& attn);
 
 /// Convenience: dense-reference encoder forward.
 MatrixF EncoderForwardDense(const MatrixF& x, const EncoderWeights& w,
                             const EncoderConfig& cfg);
 
-/// Batched encoder forward: runs every sequence of `xs` through the layer
-/// concurrently on `runner`, one Workspace per concurrency slot.  Each
-/// sequence executes exactly the code EncoderForward runs, so outputs are
-/// bit-identical to a sequential loop regardless of worker count.
-std::vector<MatrixF> EncoderForwardBatch(const std::vector<MatrixF>& xs,
-                                         const EncoderWeights& w,
-                                         const EncoderConfig& cfg,
-                                         const WorkspaceAttentionFn& attn,
-                                         BatchRunner& runner);
-
 /// Dense attention leasing its score matrix and GEMM pack buffer from the
-/// workspace.  Bit-identical to AdaptAttentionFn(DenseAttention) without
-/// its per-call allocations.
+/// workspace.  Bit-identical to DenseAttention without its per-call
+/// allocations.
 WorkspaceAttentionFn MakeWorkspaceDenseAttentionFn();
+
+/// Copies `src` into columns [col0, col0 + width) of `dst`: one head's
+/// context, or one shard's slice in a column gather.  Throws
+/// std::invalid_argument unless src is (dst.rows() x width) and the block
+/// fits in dst, so a misbehaving attention function cannot write past it.
+void CopyColumnBlock(const MatrixF& src, std::size_t col0, std::size_t width,
+                     MatrixF& dst);
+
+/// out = LayerNorm(residual + y) -- the layer's residual + LayerNorm step
+/// (out resized, fully overwritten; it may alias y).
+void ResidualLayerNormInto(const MatrixF& residual, const MatrixF& y,
+                           std::span<const float> gamma,
+                           std::span<const float> beta, MatrixF& out);
 
 }  // namespace latte

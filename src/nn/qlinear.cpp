@@ -1,10 +1,8 @@
 #include "nn/qlinear.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
-#include "nn/attention.hpp"
-#include "nn/ops.hpp"
-#include "tensor/kernels.hpp"
 #include "tensor/matmul.hpp"
 
 namespace latte {
@@ -16,79 +14,29 @@ QuantizedLinear QuantizedLinear::FromFloat(const Linear& l) {
   return q;
 }
 
-MatrixF QuantizedLinear::Forward(const MatrixF& x) const {
+void QuantizedLinear::ForwardInto(const MatrixF& x, GemmScratch& scratch,
+                                  MatrixF& out) const {
   if (x.cols() != in_features()) {
     throw std::invalid_argument("QuantizedLinear: input width mismatch");
   }
-  const QuantizedMatrix xq = Quantize(x, 8);
-  const float out_scale = xq.scale * weight.scale;
-
-  // Row-blocked int8 GEMM with exact int32 accumulation -- the same
-  // arithmetic one DSP slice performs per MAC, bit-exact against the
-  // seed's i-k-j loop because integer addition is associative.
-  MatrixI32 acc;
-  Int8GemmInto(xq.codes, weight.codes, acc);
-
-  MatrixF y(x.rows(), out_features());
-  for (std::size_t i = 0; i < y.rows(); ++i) {
-    auto ai = acc.row(i);
-    auto yi = y.row(i);
-    for (std::size_t j = 0; j < yi.size(); ++j) {
-      yi[j] = static_cast<float>(ai[j]) * out_scale;
+  const float m = ScalingFactor(x);
+  const float out_scale = QuantizationStep(8, m) * weight.scale;
+  out.Resize(x.rows(), out_features());
+  for (std::size_t r0 = 0; r0 < x.rows(); r0 += kRowChunk) {
+    const std::size_t r1 = std::min(x.rows(), r0 + kRowChunk);
+    QuantizeRowsInto(x, r0, r1, 8, m, scratch.a8);
+    // Exact int32 accumulation -- the arithmetic one DSP slice performs
+    // per MAC.
+    Int8GemmInto(scratch.a8, weight.codes, scratch.acc);
+    for (std::size_t i = r0; i < r1; ++i) {
+      const auto ai = scratch.acc.row(i - r0);
+      auto yi = out.row(i);
+      for (std::size_t j = 0; j < yi.size(); ++j) {
+        yi[j] = static_cast<float>(ai[j]) * out_scale;
+      }
     }
   }
-  if (!bias.empty()) AddBiasInPlace(y, bias);
-  return y;
-}
-
-QuantizedEncoderWeights QuantizedEncoderWeights::FromFloat(
-    const EncoderWeights& w) {
-  QuantizedEncoderWeights q;
-  q.wq = QuantizedLinear::FromFloat(w.wq);
-  q.wk = QuantizedLinear::FromFloat(w.wk);
-  q.wv = QuantizedLinear::FromFloat(w.wv);
-  q.wo = QuantizedLinear::FromFloat(w.wo);
-  q.ffn1 = QuantizedLinear::FromFloat(w.ffn1);
-  q.ffn2 = QuantizedLinear::FromFloat(w.ffn2);
-  q.ln1_gamma = w.ln1_gamma;
-  q.ln1_beta = w.ln1_beta;
-  q.ln2_gamma = w.ln2_gamma;
-  q.ln2_beta = w.ln2_beta;
-  return q;
-}
-
-MatrixF QuantizedEncoderForward(const MatrixF& x,
-                                const QuantizedEncoderWeights& w,
-                                const EncoderConfig& cfg,
-                                const AttentionFn& attn) {
-  if (x.cols() != cfg.hidden) {
-    throw std::invalid_argument(
-        "QuantizedEncoderForward: input width != hidden");
-  }
-  const MatrixF q = w.wq.Forward(x);
-  const MatrixF k = w.wk.Forward(x);
-  const MatrixF v = w.wv.Forward(x);
-
-  const auto qh = SplitHeads(q, cfg.heads);
-  const auto kh = SplitHeads(k, cfg.heads);
-  const auto vh = SplitHeads(v, cfg.heads);
-  std::vector<MatrixF> ctx;
-  ctx.reserve(cfg.heads);
-  for (std::size_t h = 0; h < cfg.heads; ++h) {
-    ctx.push_back(attn(qh[h], kh[h], vh[h]));
-  }
-  MatrixF a = w.wo.Forward(ConcatHeads(ctx));
-
-  MatrixF x1 = Add(x, a);
-  LayerNormInPlace(x1, w.ln1_gamma, w.ln1_beta);
-
-  MatrixF f = w.ffn1.Forward(x1);
-  GeluInPlace(f);
-  f = w.ffn2.Forward(f);
-
-  MatrixF out = Add(x1, f);
-  LayerNormInPlace(out, w.ln2_gamma, w.ln2_beta);
-  return out;
+  if (!bias.empty()) AddBiasInPlace(out, bias);
 }
 
 }  // namespace latte

@@ -1,30 +1,38 @@
 #pragma once
-// 8-bit fixed-point inference path.
+// 8-bit fixed-point linear layer.
 //
 // The paper's models are "quantized into 8 bits fixed-point representation
 // without accuracy drop" (Section 5.1, ref [36]), and the FPGA datapath
 // charges one DSP per 8-bit MAC.  This module provides the int8 linear
-// layer (per-tensor symmetric scales, int32 accumulation) and an encoder
-// layer that runs every projection/FFN matmul in int8, matching what the
-// hardware executes.  LayerNorm/softmax/GELU stay in float, as they do on
-// the FPGA's dedicated units.
+// layer (per-tensor symmetric scales, int32 accumulation) that the encoder
+// layer (nn/encoder.hpp) runs every projection/FFN matmul through, matching
+// what the hardware executes.  LayerNorm/softmax/GELU stay in float, as
+// they do on the FPGA's dedicated units.
 
-#include "nn/encoder.hpp"
+#include "nn/linear.hpp"
 #include "tensor/quantize.hpp"
 
 namespace latte {
 
 /// Linear layer with int8 weights and per-tensor activation quantization.
 struct QuantizedLinear {
+  /// Rows per int8 GEMM chunk in ForwardInto.
+  static constexpr std::size_t kRowChunk = 64;
+
   QuantizedMatrix weight;   ///< (in x out) codes + scale
   std::vector<float> bias;  ///< float bias, applied after dequantization
 
   /// Quantizes an existing float layer (weights to 8-bit).
   static QuantizedLinear FromFloat(const Linear& l);
 
-  /// y = dequant(quant8(x) * Wq) + bias.  Activations are quantized with
-  /// a per-call symmetric scale; accumulation is exact int32.
-  MatrixF Forward(const MatrixF& x) const;
+  /// y = dequant(quant8(x) * Wq) + bias, written into `out` (resized,
+  /// fully overwritten); same signature as Linear::ForwardInto.  x is
+  /// quantized with one symmetric scale over the whole matrix, then runs
+  /// through Int8GemmInto kRowChunk rows at a time via the int8/int32
+  /// chunk buffers of `scratch`, each chunk dequantized straight into
+  /// `out`.  Integer accumulation is exact, so the result does not depend
+  /// on the chunking.  `out` must not alias `x`.
+  void ForwardInto(const MatrixF& x, GemmScratch& scratch, MatrixF& out) const;
 
   std::size_t in_features() const { return weight.codes.rows(); }
   std::size_t out_features() const { return weight.codes.cols(); }
@@ -34,20 +42,5 @@ struct QuantizedLinear {
     return n * in_features() * out_features();
   }
 };
-
-/// All encoder parameters with matmul weights in int8.
-struct QuantizedEncoderWeights {
-  QuantizedLinear wq, wk, wv, wo, ffn1, ffn2;
-  std::vector<float> ln1_gamma, ln1_beta, ln2_gamma, ln2_beta;
-
-  static QuantizedEncoderWeights FromFloat(const EncoderWeights& w);
-};
-
-/// Encoder forward with every matmul in int8 (the FPGA datapath).  The
-/// attention operator is pluggable exactly like the float encoder.
-MatrixF QuantizedEncoderForward(const MatrixF& x,
-                                const QuantizedEncoderWeights& w,
-                                const EncoderConfig& cfg,
-                                const AttentionFn& attn);
 
 }  // namespace latte

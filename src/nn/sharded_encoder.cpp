@@ -1,6 +1,5 @@
 #include "nn/sharded_encoder.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -9,16 +8,6 @@
 
 namespace latte {
 namespace {
-
-// Writes `src` into dst columns [col0, col0 + src.cols()).  This copy is
-// the in-process stand-in for the all-gather: shards own disjoint column
-// ranges, so concurrent copies never touch the same element.
-void CopyColumnsInto(const MatrixF& src, std::size_t col0, MatrixF& dst) {
-  for (std::size_t r = 0; r < src.rows(); ++r) {
-    const auto row = src.row(r);
-    std::copy(row.begin(), row.end(), dst.row(r).begin() + col0);
-  }
-}
 
 void ValidateAgainstPlan(const MatrixF& x, const EncoderConfig& cfg,
                          const ShardPlan& plan, const ShardExecutor& exec) {
@@ -61,7 +50,9 @@ MatrixF ShardedEncoderForward(const MatrixF& x, const EncoderWeights& w,
   // Head-parallel QKV + attention: shard s projects only the columns of
   // its head group (bit-exact column slices of the full projections),
   // runs attention per owned head, and "all-gathers" the contexts by
-  // copying them into its column range of ctx_all.
+  // copying them into its column range of ctx_all.  The column copies are
+  // the in-process stand-in for the all-gather: shards own disjoint column
+  // ranges, so concurrent copies never touch the same element.
   exec.RunStage([&](std::size_t s, Workspace& ws) {
     const std::size_t nh = plan.heads[s].size();
     if (nh == 0) return;
@@ -77,8 +68,8 @@ MatrixF ShardedEncoderForward(const MatrixF& x, const EncoderWeights& w,
     const auto kh = SplitHeads(k, nh);
     const auto vh = SplitHeads(v, nh);
     for (std::size_t h = 0; h < nh; ++h) {
-      const MatrixF c = attn(qh[h], kh[h], vh[h], ws);
-      CopyColumnsInto(c, (plan.heads[s].begin + h) * d, ctx_all);
+      CopyColumnBlock(attn(qh[h], kh[h], vh[h], ws),
+                      (plan.heads[s].begin + h) * d, d, ctx_all);
     }
   });
 
@@ -86,15 +77,14 @@ MatrixF ShardedEncoderForward(const MatrixF& x, const EncoderWeights& w,
   exec.RunStage([&](std::size_t s, Workspace& ws) {
     const ShardRange hc = plan.hidden_cols[s];
     if (hc.size() == 0) return;
-    MatrixF& a = ws.Float(wslots::kEncoderAttn, n, hc.size());
+    MatrixF& a = ws.Float(wslots::kEncoderK, n, hc.size());
     w.wo.ForwardColumnsInto(ctx_all, hc.begin, hc.end, ws.gemm(), a);
-    CopyColumnsInto(a, hc.begin, attn_out);
+    CopyColumnBlock(a, hc.begin, hc.size(), attn_out);
   });
 
   // Serial residual + LayerNorm, exactly as the unsharded encoder.
   MatrixF& x1 = comm.Float(shardslots::kX1, n, cfg.hidden);
-  AddInto(x, attn_out, x1);
-  LayerNormInPlace(x1, w.ln1_gamma, w.ln1_beta);
+  ResidualLayerNormInto(x, attn_out, w.ln1_gamma, w.ln1_beta, x1);
 
   MatrixF& f2 = comm.Float(shardslots::kFfnOut, n, cfg.hidden);
   if (plan.row_parallel_ffn2) {
@@ -128,19 +118,19 @@ MatrixF ShardedEncoderForward(const MatrixF& x, const EncoderWeights& w,
       MatrixF& f = ws.Float(wslots::kEncoderFfn, n, fc.size());
       w.ffn1.ForwardColumnsInto(x1, fc.begin, fc.end, ws.gemm(), f);
       GeluInPlace(f);
-      CopyColumnsInto(f, fc.begin, f_all);
+      CopyColumnBlock(f, fc.begin, fc.size(), f_all);
     });
     exec.RunStage([&](std::size_t s, Workspace& ws) {
       const ShardRange hc = plan.hidden_cols[s];
       if (hc.size() == 0) return;
-      MatrixF& o = ws.Float(wslots::kEncoderFfn2, n, hc.size());
+      MatrixF& o = ws.Float(wslots::kEncoderQ, n, hc.size());
       w.ffn2.ForwardColumnsInto(f_all, hc.begin, hc.end, ws.gemm(), o);
-      CopyColumnsInto(o, hc.begin, f2);
+      CopyColumnBlock(o, hc.begin, hc.size(), f2);
     });
   }
 
-  MatrixF out = Add(x1, f2);
-  LayerNormInPlace(out, w.ln2_gamma, w.ln2_beta);
+  MatrixF out;
+  ResidualLayerNormInto(x1, f2, w.ln2_gamma, w.ln2_beta, out);
   return out;
 }
 

@@ -29,14 +29,19 @@
 
 namespace latte {
 
-/// Reusable packing scratch for the tiled GEMM family.  Lease one from a
-/// runtime Workspace (`ws.gemm()`) on hot paths; at steady-state shapes the
-/// pack buffer stops growing and GEMM calls allocate nothing.
+/// Reusable packing scratch for the tiled GEMM family, plus the row-chunk
+/// buffers QuantizedLinear::ForwardInto streams int8 GEMMs through.  Lease
+/// one from a runtime Workspace (`ws.gemm()`) on hot paths; at
+/// steady-state shapes the buffers stop growing and GEMM calls allocate
+/// nothing.
 struct GemmScratch {
   std::vector<float> bpack;  ///< packed B panels for the current K-tile
+  MatrixI8 a8;               ///< int8 activation codes of one row chunk
+  MatrixI32 acc;             ///< int32 accumulators of one row chunk
 
   std::size_t CapacityBytes() const {
-    return bpack.capacity() * sizeof(float);
+    return bpack.capacity() * sizeof(float) + a8.capacity() +
+           acc.capacity() * sizeof(std::int32_t);
   }
 };
 

@@ -37,6 +37,16 @@ QuantizedMatrix Quantize(const MatrixF& m, int bits);
 /// rows stream through hardware and M was computed over a larger tensor).
 QuantizedMatrix QuantizeWithScale(const MatrixF& m, int bits, float M);
 
+/// The dequantization step QuantizeWithScale reports for factor M:
+/// M / MaxCode(bits), or 1 when M is 0.
+float QuantizationStep(int bits, float M);
+
+/// Rows [row0, row1) of QuantizeWithScale(m, bits, M).codes, written into
+/// `codes` (resized to (row1-row0) x m.cols(), fully overwritten) so a
+/// caller can stream a large tensor through a small reused buffer.
+void QuantizeRowsInto(const MatrixF& m, std::size_t row0, std::size_t row1,
+                      int bits, float M, MatrixI8& codes);
+
 /// Reconstructs the float approximation codes * scale.
 MatrixF Dequantize(const QuantizedMatrix& q);
 

@@ -13,8 +13,11 @@
 #include "fpga/hbm.hpp"
 #include "fpga/pipeline_sim.hpp"
 #include "model/config.hpp"
+#include "nn/encoder.hpp"
 #include "nn/qlinear.hpp"
+#include "tensor/kernels.hpp"
 #include "tensor/matmul.hpp"
+#include "tensor/quantize.hpp"
 #include "tensor/rng.hpp"
 
 namespace latte {
@@ -184,7 +187,9 @@ TEST(QuantizedLinearTest, TracksFloatLayerClosely) {
   const QuantizedLinear q = QuantizedLinear::FromFloat(l);
   const auto x = rng.NormalMatrix(10, 64, 0.0, 1.0);
   const auto yf = l.Forward(x);
-  const auto yq = q.Forward(x);
+  GemmScratch scratch;
+  MatrixF yq;
+  q.ForwardInto(x, scratch, yq);
   ASSERT_EQ(yq.rows(), yf.rows());
   ASSERT_EQ(yq.cols(), yf.cols());
   EXPECT_GT(MeanRowCosine(yq, yf), 0.999);
@@ -207,7 +212,48 @@ TEST(QuantizedLinearTest, InputWidthChecked) {
   const QuantizedLinear q =
       QuantizedLinear::FromFloat(MakeLinear(rng, 8, 8));
   MatrixF bad(2, 4);
-  EXPECT_THROW(q.Forward(bad), std::invalid_argument);
+  GemmScratch scratch;
+  MatrixF out;
+  EXPECT_THROW(q.ForwardInto(bad, scratch, out), std::invalid_argument);
+}
+
+// The unchunked int8 datapath: one quantization of the whole input, one
+// int32 GEMM, dequantize, bias.
+MatrixF ReferenceQuantizedForward(const QuantizedLinear& q, const MatrixF& x) {
+  const QuantizedMatrix xq = Quantize(x, 8);
+  MatrixI32 acc;
+  Int8GemmInto(xq.codes, q.weight.codes, acc);
+  MatrixF y(x.rows(), q.out_features());
+  for (std::size_t i = 0; i < y.rows(); ++i) {
+    for (std::size_t j = 0; j < y.cols(); ++j) {
+      y(i, j) = static_cast<float>(acc(i, j)) * (xq.scale * q.weight.scale);
+    }
+  }
+  if (!q.bias.empty()) AddBiasInPlace(y, q.bias);
+  return y;
+}
+
+TEST(QuantizedLinearTest, ChunkedForwardMatchesUnchunkedBitExactly) {
+  Rng rng(16);
+  const QuantizedLinear q =
+      QuantizedLinear::FromFloat(MakeLinear(rng, 24, 20));
+  constexpr std::size_t kChunk = QuantizedLinear::kRowChunk;
+  GemmScratch scratch;
+  MatrixF y;
+  for (std::size_t n : {std::size_t{0}, std::size_t{1}, kChunk - 1, kChunk,
+                        kChunk + 1, 2 * kChunk + 3}) {
+    const MatrixF x = rng.NormalMatrix(n, 24, 0.0, 1.0);
+    const MatrixF expected = ReferenceQuantizedForward(q, x);
+    q.ForwardInto(x, scratch, y);
+    EXPECT_EQ(y, expected) << "n=" << n;
+    // Again after a larger call on the same scratch: stale chunk contents
+    // must not leak into the smaller one.
+    const MatrixF big = rng.NormalMatrix(3 * kChunk + 5, 24, 0.0, 4.0);
+    q.ForwardInto(big, scratch, y);
+    EXPECT_EQ(y, ReferenceQuantizedForward(q, big));
+    q.ForwardInto(x, scratch, y);
+    EXPECT_EQ(y, expected) << "n=" << n << " after a larger call";
+  }
 }
 
 TEST(QuantizedEncoderTest, MatchesFloatEncoder) {

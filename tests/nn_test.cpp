@@ -185,13 +185,30 @@ TEST(AttentionTest, SingleKeyReturnsItsValue) {
   }
 }
 
-TEST(AttentionTest, SplitConcatRoundTrip) {
+TEST(AttentionTest, SplitHeadsRoundTripsThroughColumnBlocks) {
   Rng rng(8);
   const auto x = rng.NormalMatrix(6, 24, 0.0, 1.0);
   const auto heads = SplitHeads(x, 4);
   ASSERT_EQ(heads.size(), 4u);
   EXPECT_EQ(heads[0].cols(), 6u);
-  EXPECT_EQ(ConcatHeads(heads), x);
+  MatrixF joined(6, 24);
+  for (std::size_t h = 0; h < heads.size(); ++h) {
+    CopyColumnBlock(heads[h], h * 6, 6, joined);
+  }
+  EXPECT_EQ(joined, x);
+}
+
+TEST(AttentionTest, CopyColumnBlockRejectsMisshapedBlocks) {
+  MatrixF dst(4, 12);
+  EXPECT_THROW(CopyColumnBlock(MatrixF(4, 7), 6, 6, dst),
+               std::invalid_argument);  // wider than its range
+  EXPECT_THROW(CopyColumnBlock(MatrixF(3, 6), 6, 6, dst),
+               std::invalid_argument);  // too few rows
+  EXPECT_THROW(CopyColumnBlock(MatrixF(5, 6), 6, 6, dst),
+               std::invalid_argument);  // too many rows
+  EXPECT_THROW(CopyColumnBlock(MatrixF(4, 6), 7, 6, dst),
+               std::invalid_argument);  // range runs past dst
+  EXPECT_NO_THROW(CopyColumnBlock(MatrixF(4, 6), 6, 6, dst));
 }
 
 TEST(AttentionTest, SplitHeadsRejectsNonDivisible) {

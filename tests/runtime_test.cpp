@@ -6,7 +6,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -265,9 +267,14 @@ TEST(BatchRunnerTest, EncoderBatchMatchesSequentialBitExactly) {
   }
 
   BatchRunner runner(3);
-  const auto got = EncoderForwardBatch(xs, w, cfg,
-                                       MakeWorkspaceSparseAttentionFn(sa),
-                                       runner);
+  std::vector<MatrixF> got(xs.size());
+  runner.Run(xs.size(), [&](std::size_t i, Workspace& ws) {
+    const AttentionFn attn = [&](const MatrixF& q, const MatrixF& k,
+                                 const MatrixF& v) {
+      return SparseAttention(q, k, v, sa, nullptr, ws.attention());
+    };
+    got[i] = EncoderForwardWorkspace(xs[i], w, cfg, attn, ws);
+  });
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], expected[i]) << "sequence " << i;
@@ -295,7 +302,7 @@ TEST(BatchRunnerTest, RunShardedMatchesSequentialAndVisitsAll) {
   EXPECT_EQ(runner.items_completed(), xs.size());
 }
 
-TEST(BatchRunnerTest, AdaptedDenseAttentionMatchesSequential) {
+TEST(BatchRunnerTest, AllocatingDenseAttentionMatchesSequential) {
   Rng rng(6);
   EncoderConfig cfg;
   cfg.hidden = 64;
@@ -304,8 +311,10 @@ TEST(BatchRunnerTest, AdaptedDenseAttentionMatchesSequential) {
   const auto xs = SeededBatch(15, 6, cfg.hidden);
 
   BatchRunner runner(2);
-  const auto got =
-      EncoderForwardBatch(xs, w, cfg, AdaptAttentionFn(DenseAttention), runner);
+  std::vector<MatrixF> got(xs.size());
+  runner.Run(xs.size(), [&](std::size_t i, Workspace& ws) {
+    got[i] = EncoderForwardWorkspace(xs[i], w, cfg, DenseAttention, ws);
+  });
   ASSERT_EQ(got.size(), xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) {
     EXPECT_EQ(got[i], EncoderForwardDense(xs[i], w, cfg)) << "sequence " << i;
@@ -314,8 +323,8 @@ TEST(BatchRunnerTest, AdaptedDenseAttentionMatchesSequential) {
 
 TEST(BatchRunnerTest, WorkspaceDenseAttentionMatchesSequential) {
   // The workspace-leasing dense attention must be bit-identical to both
-  // the adapted allocating one and the sequential reference, while the
-  // per-slot arenas (scores slot + GEMM pack buffer) absorb the scratch.
+  // the allocating one and the sequential reference, while the per-slot
+  // arenas (scores slot + GEMM pack buffer) absorb the scratch.
   Rng rng(7);
   EncoderConfig cfg;
   cfg.hidden = 64;
@@ -324,8 +333,15 @@ TEST(BatchRunnerTest, WorkspaceDenseAttentionMatchesSequential) {
   const auto xs = SeededBatch(15, 6, cfg.hidden);
 
   BatchRunner runner(2);
-  const auto got =
-      EncoderForwardBatch(xs, w, cfg, MakeWorkspaceDenseAttentionFn(), runner);
+  const WorkspaceAttentionFn dense = MakeWorkspaceDenseAttentionFn();
+  std::vector<MatrixF> got(xs.size());
+  runner.Run(xs.size(), [&](std::size_t i, Workspace& ws) {
+    const AttentionFn attn = [&](const MatrixF& q, const MatrixF& k,
+                                 const MatrixF& v) {
+      return dense(q, k, v, ws);
+    };
+    got[i] = EncoderForwardWorkspace(xs[i], w, cfg, attn, ws);
+  });
   ASSERT_EQ(got.size(), xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) {
     EXPECT_EQ(got[i], EncoderForwardDense(xs[i], w, cfg)) << "sequence " << i;
@@ -346,6 +362,102 @@ TEST(BatchRunnerTest, SingleWorkerRunnerStillWorks) {
   ASSERT_EQ(got.size(), xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) {
     EXPECT_EQ(got[i], model.Forward(xs[i], inf));
+  }
+}
+
+// ------------------------------------------------------- ModelInstance --
+
+constexpr InferenceMode kAllModes[] = {
+    InferenceMode::kDenseFloat, InferenceMode::kSparseFloat,
+    InferenceMode::kDenseInt8, InferenceMode::kSparseInt8};
+
+// FNV-1a over the shape and the float bit patterns: any changed bit of the
+// output changes the hash.
+std::uint64_t BitHash(const MatrixF& m) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](std::uint32_t v) {
+    for (int b = 0; b < 4; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  };
+  mix(static_cast<std::uint32_t>(m.rows()));
+  mix(static_cast<std::uint32_t>(m.cols()));
+  for (float f : m.flat()) mix(std::bit_cast<std::uint32_t>(f));
+  return h;
+}
+
+TEST(ModelInstanceTest, ForwardMatchesGoldenBitsInEveryMode) {
+#if !defined(__x86_64__) || defined(__FMA__)
+  // The hashes pin the x86-64 baseline ISA with the portable kernels; an
+  // FMA target contracts multiply-adds and legitimately rounds otherwise.
+  GTEST_SKIP() << "golden bits recorded for x86-64 without FMA";
+#endif
+  const ModelConfig small = ScaledDown(BertBase(), 6);
+  const ModelInstance model(small, 2024);
+  Rng rng(77);
+  const MatrixF x = rng.NormalMatrix(40, small.encoder.hidden, 0.0, 1.0);
+  const std::uint64_t golden[] = {0xe576595b8c78f2baull, 0x9e30cca21be013efull,
+                                  0x99a621a9e135b58bull, 0xc7d252e99b17bb5bull};
+  for (std::size_t i = 0; i < std::size(kAllModes); ++i) {
+    InferenceConfig inf;
+    inf.mode = kAllModes[i];
+    inf.sparse.top_k = 8;
+    EXPECT_EQ(BitHash(model.Forward(x, inf)), golden[i]) << "mode " << i;
+  }
+}
+
+TEST(ModelInstanceTest, WorkspaceForwardMatchesCallLocalAcrossLengths) {
+  // One Workspace serves long -> short -> long sequences: its slots shrink
+  // and regrow, and no stale contents may leak into any output.
+  const ModelConfig small = ScaledDown(BertBase(), 6);
+  const ModelInstance model(small, 41);
+  Rng rng(42);
+  std::vector<MatrixF> xs;
+  for (std::size_t n : {96u, 7u, 33u, 96u, 130u}) {
+    xs.push_back(MakeInputEmbedding(rng, n, small.encoder.hidden));
+  }
+  for (InferenceMode mode : kAllModes) {
+    InferenceConfig inf;
+    inf.mode = mode;
+    inf.sparse.top_k = 8;
+    Workspace ws;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      std::vector<LayerRunStats> with_ws, without_ws;
+      const MatrixF a = model.Forward(xs[i], inf, &with_ws, nullptr, &ws);
+      const MatrixF b = model.Forward(xs[i], inf, &without_ws);
+      EXPECT_EQ(a, b) << "mode " << static_cast<int>(mode) << " seq " << i;
+      ASSERT_EQ(with_ws.size(), without_ws.size());
+      for (std::size_t l = 0; l < with_ws.size(); ++l) {
+        EXPECT_EQ(with_ws[l].exact_macs, without_ws[l].exact_macs);
+        EXPECT_EQ(with_ws[l].lut_multiplies, without_ws[l].lut_multiplies);
+      }
+    }
+  }
+}
+
+TEST(ModelInstanceTest, WorkspaceStopsGrowingAtSteadyShapes) {
+  // fp32 and int8 layers alike lease every intermediate from the arena:
+  // after one forward at a shape, repeats reuse it without growing.
+  const ModelConfig small = ScaledDown(BertBase(), 6);
+  const ModelInstance model(small, 43);
+  Rng rng(44);
+  const MatrixF x = MakeInputEmbedding(rng, 70, small.encoder.hidden);
+  for (InferenceMode mode : kAllModes) {
+    InferenceConfig inf;
+    inf.mode = mode;
+    inf.sparse.top_k = 8;
+    Workspace ws;
+    const MatrixF first = model.Forward(x, inf, nullptr, nullptr, &ws);
+    const std::size_t bytes = ws.CapacityBytes();
+    const std::size_t leases = ws.leases();
+    EXPECT_GT(bytes, 0u);
+    for (int r = 0; r < 3; ++r) {
+      EXPECT_EQ(model.Forward(x, inf, nullptr, nullptr, &ws), first);
+      EXPECT_EQ(ws.CapacityBytes(), bytes)
+          << "mode " << static_cast<int>(mode) << " repeat " << r;
+    }
+    EXPECT_GT(ws.leases(), leases);
   }
 }
 

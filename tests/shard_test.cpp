@@ -10,6 +10,8 @@
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "latte/latte.hpp"
@@ -399,6 +401,35 @@ TEST(ShardedEncoderTest, SteadyStateStopsAllocating) {
       f.x, f.w, f.cfg, plan, MakeWorkspaceDenseAttentionFn(), exec);
   EXPECT_EQ(exec.CapacityBytes(), bytes);  // arenas fully reused
   EXPECT_EQ(first, second);
+}
+
+TEST(ShardedEncoderTest, RejectsMisshapedHeadContexts) {
+  // An attention function whose context is not (n x head_dim) must be
+  // rejected before its rows are copied: a too-wide context of the last
+  // head would otherwise write past the gathered context buffer.
+  const EncoderFixture f(5, 8, 2);
+  const QuantizedEncoderWeights qw = QuantizedEncoderWeights::FromFloat(f.w);
+  ShardPlanConfig plan_cfg;
+  plan_cfg.shards = 2;
+  const ShardPlan plan = MakeShardPlan(f.cfg, plan_cfg);
+  ShardExecutor exec(2);
+  const std::size_t d = f.cfg.head_dim();
+  const std::size_t n = f.x.rows();
+  for (const auto& shape : {std::pair{n, d + 1}, std::pair{n - 1, d},
+                            std::pair{n + 1, d}}) {
+    SCOPED_TRACE(std::to_string(shape.first) + "x" +
+                 std::to_string(shape.second));
+    const auto bad = [shape](auto&&...) {
+      return MatrixF(shape.first, shape.second);
+    };
+    Workspace ws;
+    EXPECT_THROW(EncoderForwardWorkspace(f.x, f.w, f.cfg, bad, ws),
+                 std::invalid_argument);
+    EXPECT_THROW(EncoderForwardWorkspace(f.x, qw, f.cfg, bad, ws),
+                 std::invalid_argument);
+    EXPECT_THROW(ShardedEncoderForward(f.x, f.w, f.cfg, plan, bad, exec),
+                 std::invalid_argument);
+  }
 }
 
 TEST(ShardedEncoderTest, ValidatesShapes) {
