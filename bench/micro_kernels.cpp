@@ -124,7 +124,7 @@ void BM_EncoderLayerDense(benchmark::State& state) {
   const auto w = MakeEncoderWeights(rng, cfg);
   const auto x = MakeInputEmbedding(rng, 128, cfg.hidden);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EncoderForwardDense(x, w, cfg));
+    benchmark::DoNotOptimize(EncoderForward(x, w, cfg, DenseAttention));
   }
 }
 BENCHMARK(BM_EncoderLayerDense);

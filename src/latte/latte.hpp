@@ -59,7 +59,6 @@
 #include "nn/op_cost.hpp"
 #include "nn/ops.hpp"
 #include "nn/qlinear.hpp"
-#include "nn/sharded_encoder.hpp"
 #include "obs/analyze.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/export.hpp"

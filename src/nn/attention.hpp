@@ -19,6 +19,13 @@ class Workspace;
 using AttentionFn =
     std::function<MatrixF(const MatrixF&, const MatrixF&, const MatrixF&)>;
 
+/// Per-head attention that draws its scratch from a Workspace.  The
+/// sharded encoder takes this instead of the plain AttentionFn because
+/// each head runs on the owning shard's Workspace, which the caller cannot
+/// bind in advance.
+using WorkspaceAttentionFn = std::function<MatrixF(
+    const MatrixF&, const MatrixF&, const MatrixF&, Workspace&)>;
+
 /// Reference dense attention for one head:
 ///   softmax(Q K^T / sqrt(d)) V
 /// Q, K, V are (n x d); result is (n x d).
@@ -34,7 +41,7 @@ MatrixF DenseAttentionMasked(const MatrixF& q, const MatrixF& k,
 /// leased from `ws` (slot wslots::kAttentionScores) and both matmuls pack
 /// into the workspace GEMM scratch, so repeated calls at steady-state
 /// shapes allocate only the returned context.  Bit-identical to
-/// DenseAttention.
+/// DenseAttention; a WorkspaceAttentionFn as it stands.
 MatrixF DenseAttentionWorkspace(const MatrixF& q, const MatrixF& k,
                                 const MatrixF& v, Workspace& ws);
 

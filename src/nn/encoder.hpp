@@ -2,15 +2,22 @@
 // One Transformer encoder layer (Fig 1(a) of the paper), with the attention
 // operator pluggable so the dense reference and the sparse operator can be
 // swapped without touching the rest of the layer, and the projection
-// weights either fp32 or int8 (the FPGA datapath) over one layer body.
+// weights either fp32 or int8 (the FPGA datapath).  One layer body runs
+// every variant: unsharded on one Workspace, or tensor-parallel across a
+// gang of shards, where the partition is a schedule over the same stages.
 
 #include "nn/attention.hpp"
 #include "nn/linear.hpp"
 #include "nn/qlinear.hpp"
-#include "runtime/batch_runner.hpp"
+#include "runtime/workspace.hpp"
 #include "tensor/rng.hpp"
 
 namespace latte {
+
+// Forward declarations (sched/shard_plan.hpp, runtime/shard_exec.hpp): the
+// plan header includes this one for EncoderConfig.
+struct ShardPlan;
+class ShardExecutor;
 
 /// Architectural shape of one encoder layer.
 struct EncoderConfig {
@@ -73,14 +80,30 @@ MatrixF QuantizedEncoderForward(const MatrixF& x,
                                 const EncoderConfig& cfg,
                                 const AttentionFn& attn);
 
-/// Convenience: dense-reference encoder forward.
-MatrixF EncoderForwardDense(const MatrixF& x, const EncoderWeights& w,
-                            const EncoderConfig& cfg);
-
-/// Dense attention leasing its score matrix and GEMM pack buffer from the
-/// workspace.  Bit-identical to DenseAttention without its per-call
-/// allocations.
-WorkspaceAttentionFn MakeWorkspaceDenseAttentionFn();
+/// The same layer run across the gang of `exec` under `plan`: QKV
+/// projections and attention are head-parallel, Wo and FFN1/GELU are
+/// column-parallel, and FFN2 is either column-parallel (default) or
+/// row-parallel with a fixed-order reduction.  Each stage gathers into the
+/// gang's comm Workspace (shardslots alias the wslots plan); residual adds
+/// and LayerNorms run serially on the calling thread, exactly where the
+/// unsharded layer runs them.  `attn` runs per head on the owning shard's
+/// workspace.  Throws std::invalid_argument when the input width, the plan
+/// axes or the gang size disagree with `cfg` / `exec`.
+///
+/// Bit-exactness contract (same spirit as batch-vs-sequential): with the
+/// default column-parallel plan, the output is bit-identical to
+/// EncoderForwardWorkspace for the same weights and attention function,
+/// for every shard degree -- including degrees that do not divide the
+/// head count (trailing shards just own fewer or zero heads).  The
+/// column-slice GEMMs reduce in the full GEMM's K-tile order, the gathers
+/// are plain column copies, and every cross-shard sum happens serially in
+/// a fixed order, so no float operation is re-associated anywhere.  The
+/// row-parallel FFN2 option re-associates that one reduction and agrees
+/// to rounding only.
+MatrixF ShardedEncoderForward(const MatrixF& x, const EncoderWeights& w,
+                              const EncoderConfig& cfg, const ShardPlan& plan,
+                              const WorkspaceAttentionFn& attn,
+                              ShardExecutor& exec);
 
 /// Copies `src` into columns [col0, col0 + width) of `dst`: one head's
 /// context, or one shard's slice in a column gather.  Throws

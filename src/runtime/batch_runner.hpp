@@ -73,13 +73,6 @@ class BatchRunner {
   std::size_t items_completed_ = 0;
 };
 
-/// Per-head attention that draws its scratch from a Workspace.  The
-/// sharded encoder takes this instead of the plain AttentionFn because
-/// each head runs on the owning shard's Workspace, which the caller cannot
-/// bind in advance.
-using WorkspaceAttentionFn = std::function<MatrixF(
-    const MatrixF&, const MatrixF&, const MatrixF&, Workspace&)>;
-
 /// Sparse attention leasing its gather/score/context buffers from the
 /// workspace.  Bit-identical to MakeSparseAttentionFn(cfg).
 WorkspaceAttentionFn MakeWorkspaceSparseAttentionFn(SparseAttentionConfig cfg);

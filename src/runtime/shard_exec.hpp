@@ -33,15 +33,17 @@
 namespace latte {
 
 /// Float-slot assignments in the communication Workspace of a
-/// ShardExecutor.  Slots below kPartialBase hold gathered full-width
-/// activations; kPartialBase + s holds shard s's row-parallel FFN2
-/// partial sum.
+/// ShardExecutor.  The gathered activations alias the encoder's wslots
+/// plan, so the sharded layer reuses comm slots exactly where the
+/// unsharded one reuses its own: the context is dead once Wo has run, so
+/// the FFN2 output takes its slot.  kPartialBase + s holds shard s's
+/// row-parallel FFN2 partial sum.
 namespace shardslots {
-inline constexpr std::size_t kCtx = 0;      ///< gathered attention context
-inline constexpr std::size_t kAttnOut = 1;  ///< gathered Wo outputs
-inline constexpr std::size_t kX1 = 2;       ///< post-LN1 residual (serial)
-inline constexpr std::size_t kFfn = 3;      ///< gathered GELU activations
-inline constexpr std::size_t kFfnOut = 4;   ///< gathered / reduced FFN2 out
+inline constexpr std::size_t kCtx = wslots::kEncoderQ;     ///< context
+inline constexpr std::size_t kAttnOut = wslots::kEncoderK; ///< Wo outputs
+inline constexpr std::size_t kX1 = wslots::kEncoderV;      ///< post-LN1
+inline constexpr std::size_t kFfn = wslots::kEncoderFfn;   ///< GELU output
+inline constexpr std::size_t kFfnOut = wslots::kEncoderQ;  ///< FFN2 output
 inline constexpr std::size_t kPartialBase = 8;  ///< + shard index
 }  // namespace shardslots
 

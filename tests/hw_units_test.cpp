@@ -264,7 +264,7 @@ TEST(QuantizedEncoderTest, MatchesFloatEncoder) {
   const auto w = MakeEncoderWeights(rng, cfg);
   const auto qw = QuantizedEncoderWeights::FromFloat(w);
   const auto x = rng.NormalMatrix(24, 64, 0.0, 1.0);
-  const auto yf = EncoderForwardDense(x, w, cfg);
+  const auto yf = EncoderForward(x, w, cfg, DenseAttention);
   const auto yq = QuantizedEncoderForward(x, qw, cfg, DenseAttention);
   EXPECT_GT(MeanRowCosine(yq, yf), 0.995);
 }
@@ -281,7 +281,7 @@ TEST(QuantizedEncoderTest, WorksWithSparseAttention) {
   sa.top_k = 32;  // degenerate-dense: isolates int8 error
   const auto yq =
       QuantizedEncoderForward(x, qw, cfg, MakeSparseAttentionFn(sa));
-  const auto yf = EncoderForwardDense(x, w, cfg);
+  const auto yf = EncoderForward(x, w, cfg, DenseAttention);
   EXPECT_GT(MeanRowCosine(yq, yf), 0.99);
 }
 

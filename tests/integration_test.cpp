@@ -18,7 +18,7 @@ TEST(IntegrationTest, EncoderWithSparseAttentionTracksDense) {
   const auto w = MakeEncoderWeights(rng, cfg);
   const auto x = MakeInputEmbedding(rng, 96, cfg.hidden);
 
-  const auto dense = EncoderForwardDense(x, w, cfg);
+  const auto dense = EncoderForward(x, w, cfg, DenseAttention);
   SparseAttentionConfig sa;
   sa.top_k = 48;  // half the keys
   const auto sparse = EncoderForward(x, w, cfg, MakeSparseAttentionFn(sa));
@@ -39,7 +39,7 @@ TEST(IntegrationTest, EncoderSparseEqualsDenseWhenKIsN) {
   SparseAttentionConfig sa;
   sa.top_k = 24;
   const auto a = EncoderForward(x, w, cfg, MakeSparseAttentionFn(sa));
-  const auto b = EncoderForwardDense(x, w, cfg);
+  const auto b = EncoderForward(x, w, cfg, DenseAttention);
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(a.flat()[i], b.flat()[i], 5e-2f);
   }

@@ -226,7 +226,7 @@ TEST(EncoderTest, OutputShapeMatchesInput) {
   cfg.heads = 4;
   const auto w = MakeEncoderWeights(rng, cfg);
   const auto x = rng.NormalMatrix(7, 32, 0.0, 1.0);
-  const auto y = EncoderForwardDense(x, w, cfg);
+  const auto y = EncoderForward(x, w, cfg, DenseAttention);
   EXPECT_EQ(y.rows(), 7u);
   EXPECT_EQ(y.cols(), 32u);
 }
@@ -238,7 +238,7 @@ TEST(EncoderTest, OutputIsLayerNormalized) {
   cfg.heads = 8;
   const auto w = MakeEncoderWeights(rng, cfg);
   const auto x = rng.NormalMatrix(5, 64, 0.0, 1.0);
-  const auto y = EncoderForwardDense(x, w, cfg);
+  const auto y = EncoderForward(x, w, cfg, DenseAttention);
   for (std::size_t i = 0; i < y.rows(); ++i) {
     double mean = 0;
     for (float v : y.row(i)) mean += v;
@@ -255,8 +255,8 @@ TEST(EncoderTest, DeterministicGivenSeed) {
   const auto w2 = MakeEncoderWeights(r2, cfg);
   const auto x1 = r1.NormalMatrix(3, 16, 0.0, 1.0);
   const auto x2 = r2.NormalMatrix(3, 16, 0.0, 1.0);
-  EXPECT_EQ(EncoderForwardDense(x1, w1, cfg),
-            EncoderForwardDense(x2, w2, cfg));
+  EXPECT_EQ(EncoderForward(x1, w1, cfg, DenseAttention),
+            EncoderForward(x2, w2, cfg, DenseAttention));
 }
 
 TEST(EncoderTest, RejectsBadConfig) {
@@ -274,7 +274,8 @@ TEST(EncoderTest, RejectsWrongInputWidth) {
   cfg.heads = 2;
   const auto w = MakeEncoderWeights(rng, cfg);
   MatrixF x(3, 8);
-  EXPECT_THROW(EncoderForwardDense(x, w, cfg), std::invalid_argument);
+  EXPECT_THROW(EncoderForward(x, w, cfg, DenseAttention),
+               std::invalid_argument);
 }
 
 TEST(EncoderTest, CustomAttentionFnIsUsed) {
@@ -290,7 +291,7 @@ TEST(EncoderTest, CustomAttentionFnIsUsed) {
     return MatrixF(q.rows(), v.cols());
   };
   EXPECT_NE(EncoderForward(x, w, cfg, zero_fn),
-            EncoderForwardDense(x, w, cfg));
+            EncoderForward(x, w, cfg, DenseAttention));
 }
 
 TEST(EncoderTest, FfnDefaultsToFourTimesHidden) {

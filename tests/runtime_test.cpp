@@ -317,7 +317,8 @@ TEST(BatchRunnerTest, AllocatingDenseAttentionMatchesSequential) {
   });
   ASSERT_EQ(got.size(), xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_EQ(got[i], EncoderForwardDense(xs[i], w, cfg)) << "sequence " << i;
+    EXPECT_EQ(got[i], EncoderForward(xs[i], w, cfg, DenseAttention))
+        << "sequence " << i;
   }
 }
 
@@ -333,7 +334,7 @@ TEST(BatchRunnerTest, WorkspaceDenseAttentionMatchesSequential) {
   const auto xs = SeededBatch(15, 6, cfg.hidden);
 
   BatchRunner runner(2);
-  const WorkspaceAttentionFn dense = MakeWorkspaceDenseAttentionFn();
+  const WorkspaceAttentionFn dense = DenseAttentionWorkspace;
   std::vector<MatrixF> got(xs.size());
   runner.Run(xs.size(), [&](std::size_t i, Workspace& ws) {
     const AttentionFn attn = [&](const MatrixF& q, const MatrixF& k,
@@ -344,7 +345,8 @@ TEST(BatchRunnerTest, WorkspaceDenseAttentionMatchesSequential) {
   });
   ASSERT_EQ(got.size(), xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_EQ(got[i], EncoderForwardDense(xs[i], w, cfg)) << "sequence " << i;
+    EXPECT_EQ(got[i], EncoderForward(xs[i], w, cfg, DenseAttention))
+        << "sequence " << i;
   }
   EXPECT_GT(runner.workspace(0).CapacityBytes(), 0u);
 }

@@ -325,7 +325,7 @@ TEST(ShardedEncoderTest, BitExactAgainstUnshardedDenseForEveryDegree) {
     const ShardPlan plan = MakeShardPlan(f.cfg, plan_cfg);
     ShardExecutor exec(degree);
     const MatrixF sharded = ShardedEncoderForward(
-        f.x, f.w, f.cfg, plan, MakeWorkspaceDenseAttentionFn(), exec);
+        f.x, f.w, f.cfg, plan, DenseAttentionWorkspace, exec);
     EXPECT_EQ(sharded, reference) << "degree=" << degree;
   }
 }
@@ -359,7 +359,7 @@ TEST(ShardedEncoderTest, RowParallelFfn2AgreesToRounding) {
   ShardExecutor exec(4);
   const MatrixF sharded = ShardedEncoderForward(
       f.x, f.w, f.cfg, MakeShardPlan(f.cfg, plan_cfg),
-      MakeWorkspaceDenseAttentionFn(), exec);
+      DenseAttentionWorkspace, exec);
   ASSERT_EQ(sharded.rows(), reference.rows());
   ASSERT_EQ(sharded.cols(), reference.cols());
   for (std::size_t r = 0; r < sharded.rows(); ++r) {
@@ -371,18 +371,24 @@ TEST(ShardedEncoderTest, RowParallelFfn2AgreesToRounding) {
 }
 
 TEST(ShardedEncoderTest, OutputIsInvariantToThreadCount) {
+  // Column plan and row-parallel FFN2 alike: the fixed-order reduce keeps
+  // the re-associated sum byte-stable at any thread count.
   const EncoderFixture f;
-  ShardPlanConfig plan_cfg;
-  plan_cfg.shards = 4;
-  const ShardPlan plan = MakeShardPlan(f.cfg, plan_cfg);
+  for (const bool row_parallel : {false, true}) {
+    SCOPED_TRACE(row_parallel ? "row-parallel FFN2" : "column plan");
+    ShardPlanConfig plan_cfg;
+    plan_cfg.shards = 4;
+    plan_cfg.row_parallel_ffn2 = row_parallel;
+    const ShardPlan plan = MakeShardPlan(f.cfg, plan_cfg);
 
-  ShardExecutor serial(4, 1);   // four shards time-sliced on one worker
-  ShardExecutor parallel(4, 4);
-  const MatrixF a = ShardedEncoderForward(
-      f.x, f.w, f.cfg, plan, MakeWorkspaceDenseAttentionFn(), serial);
-  const MatrixF b = ShardedEncoderForward(
-      f.x, f.w, f.cfg, plan, MakeWorkspaceDenseAttentionFn(), parallel);
-  EXPECT_EQ(a, b);
+    ShardExecutor serial(4, 1);  // four shards time-sliced on one worker
+    ShardExecutor parallel(4, 4);
+    const MatrixF a = ShardedEncoderForward(
+        f.x, f.w, f.cfg, plan, DenseAttentionWorkspace, serial);
+    const MatrixF b = ShardedEncoderForward(
+        f.x, f.w, f.cfg, plan, DenseAttentionWorkspace, parallel);
+    EXPECT_EQ(a, b);
+  }
 }
 
 TEST(ShardedEncoderTest, SteadyStateStopsAllocating) {
@@ -394,11 +400,11 @@ TEST(ShardedEncoderTest, SteadyStateStopsAllocating) {
   ShardExecutor exec(3);
 
   const MatrixF first = ShardedEncoderForward(
-      f.x, f.w, f.cfg, plan, MakeWorkspaceDenseAttentionFn(), exec);
+      f.x, f.w, f.cfg, plan, DenseAttentionWorkspace, exec);
   const std::size_t bytes = exec.CapacityBytes();
   EXPECT_GT(bytes, 0u);
   const MatrixF second = ShardedEncoderForward(
-      f.x, f.w, f.cfg, plan, MakeWorkspaceDenseAttentionFn(), exec);
+      f.x, f.w, f.cfg, plan, DenseAttentionWorkspace, exec);
   EXPECT_EQ(exec.CapacityBytes(), bytes);  // arenas fully reused
   EXPECT_EQ(first, second);
 }
@@ -440,14 +446,14 @@ TEST(ShardedEncoderTest, ValidatesShapes) {
 
   ShardExecutor wrong_gang(3);  // plan says 2 shards
   EXPECT_THROW(ShardedEncoderForward(f.x, f.w, f.cfg, plan,
-                                     MakeWorkspaceDenseAttentionFn(),
+                                     DenseAttentionWorkspace,
                                      wrong_gang),
                std::invalid_argument);
 
   ShardExecutor exec(2);
   const MatrixF narrow(19, f.cfg.hidden - 1);
   EXPECT_THROW(ShardedEncoderForward(narrow, f.w, f.cfg, plan,
-                                     MakeWorkspaceDenseAttentionFn(), exec),
+                                     DenseAttentionWorkspace, exec),
                std::invalid_argument);
 }
 
