@@ -37,6 +37,24 @@ void BM_LutScoreMatrix(benchmark::State& state) {
 }
 BENCHMARK(BM_LutScoreMatrix)->Arg(128)->Arg(256);
 
+// The host Stage 1 that replaces LUT scoring + streaming Top-k: packed-sign
+// XNOR-popcount (bits 1) or int dot (bits 4) scores, O(n) per-row select,
+// all in a reused scratch.  Args: {n, bits}.
+void BM_SelectCandidates(benchmark::State& state) {
+  const auto p = Problem(static_cast<std::size_t>(state.range(0)));
+  SelectorConfig cfg;
+  cfg.top_k = 30;
+  cfg.bits = static_cast<int>(state.range(1));
+  SelectionScratch scratch;
+  for (auto _ : state) {
+    SelectCandidates(p.q, p.k, cfg, scratch);
+    benchmark::DoNotOptimize(scratch.index.data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0) *
+                          state.range(0));
+}
+BENCHMARK(BM_SelectCandidates)->ArgsProduct({{128, 384, 1024}, {1, 4}});
+
 void BM_StreamingTopK(benchmark::State& state) {
   Rng rng(7);
   const std::size_t n = 1024;

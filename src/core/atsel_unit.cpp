@@ -39,11 +39,14 @@ SelectionResult AtSelUnit::Run(const MatrixF& q, const MatrixF& k,
   const std::size_t per_dot = (q.cols() + lut_lanes_ - 1) / lut_lanes_;
   local.score_cycles = per_dot * q.rows() * k.rows();
 
+  // Padding keys (index >= valid_len) are gated before the sorter, as in
+  // the behavioural selector.
+  const std::size_t valid = cfg_.ValidKeys(k.rows());
   SystolicTopKSorter sorter(cfg_.top_k);
   for (std::size_t i = 0; i < approx.rows(); ++i) {
     sorter.Reset();
     auto row = approx.row(i);
-    for (std::size_t j = 0; j < row.size(); ++j) {
+    for (std::size_t j = 0; j < valid; ++j) {
       sorter.Clock(row[j], static_cast<std::uint32_t>(j));
     }
     local.sort_cycles += sorter.cycles() + sorter.drain_latency();

@@ -30,7 +30,9 @@ MatrixF SparseAttention(const MatrixF& q, const MatrixF& k, const MatrixF& v,
                         const SparseAttentionConfig& cfg,
                         SparseAttentionStats* stats) {
   AttentionScratch scratch;
-  return SparseAttention(q, k, v, cfg, stats, scratch);
+  MatrixF out = SparseAttention(q, k, v, cfg, stats, scratch);
+  if (stats != nullptr) stats->candidates = scratch.select.CandidateLists();
+  return out;
 }
 
 MatrixF SparseAttention(const MatrixF& q, const MatrixF& k, const MatrixF& v,
@@ -48,7 +50,8 @@ MatrixF SparseAttention(const MatrixF& q, const MatrixF& k, const MatrixF& v,
   sel_cfg.top_k = cfg.top_k;
   sel_cfg.bits = cfg.bits;
   sel_cfg.valid_len = cfg.valid_len;
-  SelectionResult sel = SelectCandidates(q, k, sel_cfg);
+  SelectCandidates(q, k, sel_cfg, scratch.select);
+  const SelectionScratch& sel = scratch.select;
 
   MatrixF out(n, v.cols());
   FusedKernelConfig fk;
@@ -62,7 +65,7 @@ MatrixF SparseAttention(const MatrixF& q, const MatrixF& k, const MatrixF& v,
   std::size_t exact_macs = 0;
   std::size_t selected_total = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& cand = sel.candidates[i];
+    const auto cand = sel.Candidates(i);
     selected_total += cand.size();
     // Stage 2.1: gather Ks/Vs for this query row into the reused buffers.
     GatherRowsInto(k, cand, scratch.ks);
@@ -84,7 +87,6 @@ MatrixF SparseAttention(const MatrixF& q, const MatrixF& k, const MatrixF& v,
     stats->sorter_cycles = sel.sorter_cycles;
     stats->fused_cycles = fused_cycles;
     stats->exact_macs = exact_macs;
-    stats->candidates = std::move(sel.candidates);
   }
   return out;
 }

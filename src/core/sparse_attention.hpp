@@ -4,14 +4,15 @@
 //
 // Pipeline per head (Fig 3):
 //   1. quantize Q, K to 1- or 4-bit codes              (Stage 1, At-Sel)
-//   2. approximate scores Q'.K'^T via product LUT      (Stage 1, At-Sel)
-//   3. streaming Top-k per query row                   (Stage 1, At-Sel)
+//   2. approximate scores Q'.K'^T (XNOR-popcount/int)  (Stage 1, At-Sel)
+//   3. Top-k per query row                             (Stage 1, At-Sel)
 //   4. gather Ks/Vs candidates                         (Stage 2.1, load)
 //   5. fused exact score + scale + mask + exp          (Stage 2.2, Fig 4)
 //   6. Z = S.V / sum(S)                                (Stage 2.3)
 //
 // Complexity: O(n * k * d) full-precision work instead of O(n^2 * d); the
-// remaining O(n^2 * d) pre-selection runs on 1-bit codes in LUT fabric.
+// remaining O(n^2 * d) pre-selection runs on 1-bit codes in LUT fabric
+// (on the host: one popcount per 64 code pairs).
 
 #include "core/candidate_selector.hpp"
 #include "core/fused_kernel.hpp"
@@ -38,16 +39,20 @@ struct SparseAttentionStats {
   std::size_t sorter_cycles = 0;    ///< streaming Top-k cycles
   std::size_t fused_cycles = 0;     ///< Stage 2.2 cycles
   std::size_t exact_macs = 0;       ///< full-precision MACs (score + context)
-  /// Candidates per query row, for fidelity metrics.
+  /// Candidates per query row, for fidelity metrics.  Filled by the
+  /// allocating overload only; the workspace overload leaves them in
+  /// `scratch.select` so its hot loop does not allocate.
   std::vector<std::vector<std::uint32_t>> candidates;
 };
 
-/// Reusable scratch for the Stage 2 hot loop: gather buffers for the
-/// candidate K/V rows, the fused-kernel score result and the context row.
-/// One scratch serves one thread; the batch runtime keeps one per worker
-/// (wrapped in a runtime::Workspace) so repeated SparseAttention calls do
-/// zero heap allocation once the buffers have grown to steady state.
+/// Reusable scratch for the whole operator: the Stage 1 selection state
+/// and its (n x top_k) candidates, gather buffers for the candidate K/V
+/// rows, the fused-kernel score result and the context row.  One scratch
+/// serves one thread; the batch runtime keeps one per worker (wrapped in a
+/// runtime::Workspace) so repeated SparseAttention calls do zero heap
+/// allocation once the buffers have grown to steady state.
 struct AttentionScratch {
+  SelectionScratch select;  ///< Stage 1 buffers and selected candidates
   MatrixF ks;               ///< gathered candidate keys, (top_k x d)
   MatrixF vs;               ///< gathered candidate values, (top_k x d_v)
   FusedScoreResult scores;  ///< fused-kernel output, reused per row
@@ -56,6 +61,12 @@ struct AttentionScratch {
   /// Grows `ctx` to `d_v` without shrinking (capacity is sticky).
   void ReserveContext(std::size_t d_v) {
     if (ctx.size() < d_v) ctx.resize(d_v);
+  }
+
+  std::size_t CapacityBytes() const {
+    std::size_t floats = ks.capacity() + vs.capacity() + ctx.capacity();
+    floats += scores.exp_scores.capacity();
+    return select.CapacityBytes() + floats * sizeof(float);
   }
 };
 
@@ -68,8 +79,9 @@ MatrixF SparseAttention(const MatrixF& q, const MatrixF& k, const MatrixF& v,
                         SparseAttentionStats* stats = nullptr);
 
 /// Workspace variant: identical math and bit-identical output, but every
-/// per-row temporary (gathered K/V blocks, exp-score buffer, context row)
-/// lives in `scratch` and is reused across rows and across calls.  This is
+/// temporary (selection state and candidates, gathered K/V blocks,
+/// exp-score buffer, context row) lives in `scratch` and is reused across
+/// rows and across calls; only the returned context allocates.  This is
 /// the operator the batched execution runtime drives.
 MatrixF SparseAttention(const MatrixF& q, const MatrixF& k, const MatrixF& v,
                         const SparseAttentionConfig& cfg,

@@ -28,8 +28,11 @@ void ShardExecutor::SetTracer(obs::Tracer* tracer, std::uint32_t track_base,
 
 void ShardExecutor::RunStage(
     const std::function<void(std::size_t, Workspace&)>& fn) {
+  // Each submitted closure holds one reference and the shard index, so it
+  // fits std::function's local buffer and submitting does not allocate.
+  const auto run = [this, &fn](std::size_t s) { fn(s, shard_ws_[s]); };
   for (std::size_t s = 0; s < shard_ws_.size(); ++s) {
-    pool_.Submit([this, &fn, s] { fn(s, shard_ws_[s]); });
+    pool_.Submit([&run, s] { run(s); });
   }
   pool_.Wait();
   if (tracer_ != nullptr) {

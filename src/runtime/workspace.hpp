@@ -43,7 +43,8 @@ class Workspace {
   Workspace(Workspace&&) = default;
   Workspace& operator=(Workspace&&) = default;
 
-  /// The sparse-attention scratch (gather buffers, scores, context row).
+  /// The sparse-attention scratch (selection state and candidates, gather
+  /// buffers, scores, context row).
   /// Call once per SparseAttention invocation; the returned reference is
   /// valid until the next Reset().
   AttentionScratch& attention() {
@@ -80,12 +81,7 @@ class Workspace {
   /// not live sizes — buffers shrink logically but never release).  Flat
   /// across repeated calls == the arena is reusing, not reallocating.
   std::size_t CapacityBytes() const {
-    std::size_t bytes =
-        (attention_.ks.capacity() + attention_.vs.capacity() +
-         attention_.ctx.capacity() +
-         attention_.scores.exp_scores.capacity()) *
-        sizeof(float);
-    bytes += gemm_.CapacityBytes();
+    std::size_t bytes = attention_.CapacityBytes() + gemm_.CapacityBytes();
     for (const auto& m : floats_) {
       if (m) bytes += m->capacity() * sizeof(float);
     }

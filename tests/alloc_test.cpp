@@ -3,8 +3,9 @@
 // This executable replaces the global operator new with a counting one and
 // asserts how many allocations the third of three identical calls makes,
 // once every Workspace buffer has reached its steady-state capacity.  What
-// is left is the per-call work the layer cannot lease: per-head splits,
-// returned contexts and outputs, and the sparse operator's per-row lists.
+// is left is the per-call work the layer cannot lease: per-head splits and
+// returned contexts and outputs.  The sparse operator keeps its selection
+// in the Workspace, so sparse and dense layers allocate alike.
 //
 // Budgets only ratchet down.  Each one is the count measured when it was
 // set; a change that needs a larger number has grown the hot path's
@@ -83,8 +84,8 @@ TEST(AllocationBudgetTest, UnshardedEncoderLayer) {
   };
   SparseAttentionConfig scfg;
   scfg.top_k = 8;
-  const AttentionFn sparse = [&ws, scfg](const MatrixF& q, const MatrixF& k,
-                                         const MatrixF& v) {
+  const AttentionFn sparse = [&ws, &scfg](const MatrixF& q, const MatrixF& k,
+                                          const MatrixF& v) {
     return SparseAttention(q, k, v, scfg, nullptr, ws.attention());
   };
 
@@ -95,7 +96,10 @@ TEST(AllocationBudgetTest, UnshardedEncoderLayer) {
   };
   ExpectWithinBudget("fp32 dense layer", layer(f.w, dense), 12);
   ExpectWithinBudget("int8 dense layer", layer(f.qw, dense), 12);
-  ExpectWithinBudget("fp32 sparse layer (top_k 8)", layer(f.w, sparse), 408);
+  ExpectWithinBudget("fp32 sparse layer (top_k 8)", layer(f.w, sparse), 12);
+  scfg.bits = 4;
+  ExpectWithinBudget("fp32 sparse layer (top_k 8, 4-bit)",
+                     layer(f.w, sparse), 12);
 }
 
 TEST(AllocationBudgetTest, ShardedEncoderLayer) {
@@ -113,7 +117,7 @@ TEST(AllocationBudgetTest, ShardedEncoderLayer) {
           (void)ShardedEncoderForward(f.x, f.w, f.cfg, plan,
                                       DenseAttentionWorkspace, exec);
         }),
-        row_parallel ? 22 : 23);
+        row_parallel ? 16 : 15);
   }
 }
 
@@ -128,14 +132,12 @@ TEST(AllocationBudgetTest, ModelForwardOnCallerWorkspace) {
        {InferenceMode::kDenseFloat, InferenceMode::kSparseFloat,
         InferenceMode::kDenseInt8, InferenceMode::kSparseInt8}) {
     inf.mode = mode;
-    const bool sparse = mode == InferenceMode::kSparseFloat ||
-                        mode == InferenceMode::kSparseInt8;
     ExpectWithinBudget("model forward, mode " +
                            std::to_string(static_cast<int>(mode)),
                        SteadyStateAllocations([&] {
                          (void)model.Forward(x, inf, nullptr, nullptr, &ws);
                        }),
-                       sparse ? 818 : 26);
+                       26);
   }
 }
 

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <unordered_set>
 
 #include "latte/latte.hpp"
@@ -89,6 +92,117 @@ TEST_P(SeedSweep, ThreeTopKImplementationsAgree) {
   for (std::size_t i = 0; i < behavioural.size(); ++i) {
     EXPECT_EQ(behavioural[i].score, systolic[i].score);
     EXPECT_EQ(behavioural[i].index, systolic[i].index);
+  }
+}
+
+// ------------------------------------- fast pre-selection vs reference --
+
+// Head dims around the 64-bit sign-word boundaries.
+constexpr std::size_t kSelectorDims[] = {1, 16, 63, 64, 65, 130};
+
+// A Q or K block with the quantizer's corner cases mixed in: exact +0.0f
+// and -0.0f (both code as +1), NaN for 1-bit codes (also +1), and, when
+// `repeat` is set, rows copied from earlier rows so scores tie heavily.
+MatrixF SelectorOperand(Rng& rng, std::size_t rows, std::size_t d, int bits,
+                        bool repeat) {
+  MatrixF m = rng.NormalMatrix(rows, d, 0.0, 1.0);
+  for (float& x : m.flat()) {
+    const double u = rng.NextUniform();
+    if (u < 0.1) {
+      x = 0.f;
+    } else if (u < 0.2) {
+      x = -0.f;
+    } else if (u < 0.22 && bits == 1) {
+      x = std::numeric_limits<float>::quiet_NaN();
+    }
+  }
+  if (repeat) {
+    for (std::size_t r = 1; r < rows; ++r) {
+      if (rng.NextUniform() < 0.4) {
+        const auto src = m.row(rng.NextIndex(r));
+        std::copy(src.begin(), src.end(), m.row(r).begin());
+      }
+    }
+  }
+  return m;
+}
+
+TEST_P(SeedSweep, PackedAndIntScorersMatchLut) {
+  Rng rng(GetParam() * 53 + 11);
+  const LutMultiplier lut;
+  std::vector<std::uint64_t> q_signs, k_signs;
+  for (const std::size_t d : kSelectorDims) {
+    const std::size_t n = 1 + rng.NextIndex(40);
+    const std::size_t m = 1 + rng.NextIndex(40);
+    for (const int bits : {1, 4}) {
+      SCOPED_TRACE("bits " + std::to_string(bits) + " d " + std::to_string(d));
+      const MatrixF q = SelectorOperand(rng, n, d, bits, false);
+      const MatrixF k = SelectorOperand(rng, m, d, bits, true);
+      const QuantizedMatrix qq = Quantize(q, bits);
+      const QuantizedMatrix qk = Quantize(k, bits);
+      const MatrixI32 ref = lut.ScoreMatrix(qq, qk);
+      const std::size_t words = SignWords(d);
+      PackSignRows(q, n, q_signs);
+      PackSignRows(k, m, k_signs);
+      const auto q_flat = qq.codes.flat();
+      const auto k_flat = qk.codes.flat();
+      const std::vector<std::int16_t> q_codes(q_flat.begin(), q_flat.end());
+      const std::vector<std::int16_t> k_codes(k_flat.begin(), k_flat.end());
+      std::vector<std::int32_t> row(m);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (bits == 1) {
+          const auto q_row = std::span(q_signs).subspan(i * words, words);
+          ScoreSignRow(q_row, k_signs, d, row);
+        } else {
+          ScoreCodeRow(std::span(q_codes).subspan(i * d, d), k_codes, row);
+        }
+        for (std::size_t j = 0; j < m; ++j) {
+          ASSERT_EQ(row[j], ref(i, j)) << i << "," << j;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(SeedSweep, FastSelectorMatchesLutAndSystolicReference) {
+  Rng rng(GetParam() * 29 + 5);
+  // The seed pins which corners this instance covers, so the 12-seed
+  // sweep hits every combination of top_k >= n and valid_len < n.
+  const bool wide_k = GetParam() % 2 == 0;
+  const bool masked = GetParam() % 3 != 0;
+  SelectionScratch scratch;  // reused across shapes, as on a worker
+  for (const std::size_t d : kSelectorDims) {
+    for (const int bits : {1, 4}) {
+      const std::size_t n = 1 + rng.NextIndex(90);
+      const std::size_t m = 1 + rng.NextIndex(90);
+      SelectorConfig cfg;
+      cfg.bits = bits;
+      cfg.top_k = wide_k ? m + rng.NextIndex(4) : 1 + rng.NextIndex(m);
+      cfg.valid_len = masked ? 1 + rng.NextIndex(m) : 0;
+      SCOPED_TRACE("bits " + std::to_string(bits) + " d " + std::to_string(d));
+      SCOPED_TRACE("n " + std::to_string(n) + " m " + std::to_string(m));
+      SCOPED_TRACE("top_k " + std::to_string(cfg.top_k) + " valid " +
+                   std::to_string(cfg.valid_len));
+      const MatrixF q = SelectorOperand(rng, n, d, bits, false);
+      const MatrixF k = SelectorOperand(rng, m, d, bits, true);
+
+      const SelectionResult fast = SelectCandidates(q, k, cfg);
+      const SelectionResult reference = AtSelUnit(cfg).Run(q, k);
+      SelectCandidates(q, k, cfg, scratch);
+      ASSERT_EQ(fast.candidates.size(), n);
+      ASSERT_EQ(reference.candidates.size(), n);
+      ASSERT_EQ(scratch.rows, n);
+      EXPECT_EQ(fast.lut_multiplies, reference.lut_multiplies);
+      EXPECT_EQ(fast.sorter_cycles, reference.sorter_cycles);
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(fast.candidates[i], reference.candidates[i]) << i;
+        ASSERT_EQ(fast.approx_scores[i], reference.approx_scores[i]) << i;
+        const auto c = scratch.Candidates(i);
+        const auto s = scratch.Scores(i);
+        ASSERT_TRUE(std::ranges::equal(c, reference.candidates[i])) << i;
+        ASSERT_TRUE(std::ranges::equal(s, reference.approx_scores[i])) << i;
+      }
+    }
   }
 }
 
