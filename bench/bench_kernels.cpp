@@ -5,10 +5,18 @@
 // JSON (BENCH_kernels.json, or argv[1]) for the CI perf-regression gate;
 // the dimensionless speedups are what the gate compares against
 // bench/baselines/, since absolute GFLOP/s move with the host.
+//
+// The int8 cells time the packed int8 GEMM on pre-packed weights (the
+// path QuantizedLinear runs) against a scalar int8 triple loop at the
+// served model's shapes (hidden 128, FFN 512), reported in GOP/s under a
+// separate "int8" key so the float min/geomean speedups keep their
+// meaning.
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -21,6 +29,38 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 volatile float g_sink = 0;  // keeps results alive past the optimizer
+
+// The seed's scalar i-k-j A*B loop (it skipped zero elements of A; on
+// dense random inputs that test never fires).
+MatrixF ScalarMatMul(const MatrixF& a, const MatrixF& b) {
+  MatrixF c(a.rows(), b.cols());
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    auto ci = c.row(i);
+    auto ai = a.row(i);
+    for (std::size_t k = 0; k < a.cols(); ++k) {
+      const float aik = ai[k];
+      if (aik == 0.f) continue;
+      auto bk = b.row(k);
+      for (std::size_t j = 0; j < b.cols(); ++j) ci[j] += aik * bk[j];
+    }
+  }
+  return c;
+}
+
+// Scalar i-k-j int8 loop with int32 accumulation: the reference the
+// packed int8 GEMM is timed against.
+void ScalarInt8Gemm(const MatrixI8& x, const MatrixI8& w, MatrixI32& out) {
+  out.Resize(x.rows(), w.cols());
+  std::fill(out.flat().begin(), out.flat().end(), 0);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    auto oi = out.row(i);
+    for (std::size_t p = 0; p < x.cols(); ++p) {
+      const std::int32_t a = x(i, p);
+      auto wp = w.row(p);
+      for (std::size_t j = 0; j < w.cols(); ++j) oi[j] += a * wp[j];
+    }
+  }
+}
 
 // The seed's scalar A*B^T loop (dot-product orientation, serial
 // accumulation), kept here as the baseline MatMulBT shed when it moved
@@ -70,10 +110,8 @@ ShapeResult BenchGemm(const std::string& label, std::size_t m, std::size_t k,
   const auto b = rng.NormalMatrix(k, n, 0.0, 1.0);
   const double flop = 2.0 * m * k * n;
 
-  // Scalar baseline: the seed's i-k-j loop (MatMulSkipZeros is that exact
-  // loop; on dense random inputs the zero test never fires).
   const double scalar_s =
-      TimePerCall([&] { g_sink = g_sink + MatMulSkipZeros(a, b)(0, 0); });
+      TimePerCall([&] { g_sink = g_sink + ScalarMatMul(a, b)(0, 0); });
 
   GemmScratch scratch;
   MatrixF c;
@@ -122,6 +160,64 @@ ShapeResult BenchGemmBT(const std::string& label, std::size_t m,
   return r;
 }
 
+struct Int8Result {
+  std::string label;
+  std::size_t m = 0, k = 0, n = 0;
+  double scalar_gops = 0;
+  double packed_gops = 0;
+  double speedup = 0;
+};
+
+MatrixI8 RandomCodes(Rng& rng, std::size_t rows, std::size_t cols) {
+  MatrixI8 c(rows, cols);
+  for (auto& v : c.flat()) {
+    v = static_cast<std::int8_t>(static_cast<int>(rng.NextIndex(255)) - 127);
+  }
+  return c;
+}
+
+Int8Result BenchInt8Gemm(const std::string& label, std::size_t m,
+                         std::size_t k, std::size_t n, Rng& rng) {
+  const MatrixI8 x = RandomCodes(rng, m, k);
+  const MatrixI8 w = RandomCodes(rng, k, n);
+  const double ops = 2.0 * m * k * n;
+
+  MatrixI32 ref;
+  const double scalar_s = TimePerCall([&] {
+    ScalarInt8Gemm(x, w, ref);
+    g_sink = g_sink + static_cast<float>(ref(0, 0));
+  });
+
+  // Weights packed once and activations widened once, as QuantizedLinear
+  // holds them; the timed call is the GEMM alone.
+  PackedInt8Weights packed;
+  PackInt8WeightsInto(w, packed);
+  MatrixI16 a(m, Int8ActivationWidth(k));
+  for (std::size_t i = 0; i < m; ++i) {
+    std::copy(x.row(i).begin(), x.row(i).end(), a.row(i).begin());
+  }
+  MatrixI32 out;
+  const double packed_s = TimePerCall([&] {
+    Int8GemmPackedInto(a, packed, out);
+    g_sink = g_sink + static_cast<float>(out(0, 0));
+  });
+  if (out != ref) {
+    std::fprintf(stderr, "int8 %s: packed GEMM differs from scalar loop\n",
+                 label.c_str());
+    std::exit(1);
+  }
+
+  Int8Result r;
+  r.label = label;
+  r.m = m;
+  r.k = k;
+  r.n = n;
+  r.scalar_gops = ops / scalar_s * 1e-9;
+  r.packed_gops = ops / packed_s * 1e-9;
+  r.speedup = scalar_s / packed_s;
+  return r;
+}
+
 }  // namespace
 }  // namespace latte
 
@@ -155,6 +251,28 @@ int main(int argc, char** argv) {
   const double geomean = std::exp(log_sum / results.size());
   std::printf("  min speedup %.2fx, geomean %.2fx\n", min_speedup, geomean);
 
+  // The served model's int8 projections: QKV/Wo (128x128), FFN1
+  // (128x512) and FFN2 (512x128), at one 64-row chunk and a long sequence.
+  std::vector<Int8Result> int8;
+  for (const std::size_t rows : {std::size_t{64}, std::size_t{256}}) {
+    const std::string seq = "_seq" + std::to_string(rows);
+    int8.push_back(BenchInt8Gemm("qkv_proj" + seq, rows, 128, 128, rng));
+    int8.push_back(BenchInt8Gemm("ffn1" + seq, rows, 128, 512, rng));
+    int8.push_back(BenchInt8Gemm("ffn2" + seq, rows, 512, 128, rng));
+  }
+  std::printf("\n== int8 GEMM GOP/s, int8 arch=%s, single thread ==\n",
+              Int8KernelArchName());
+  double int8_min = 0, int8_log_sum = 0;
+  for (const auto& r : int8) {
+    std::printf("  %-18s %4zux%4zux%4zu  scalar %7.2f  packed %7.2f  %5.2fx\n",
+                r.label.c_str(), r.m, r.k, r.n, r.scalar_gops, r.packed_gops,
+                r.speedup);
+    int8_min = int8_min == 0 ? r.speedup : std::min(int8_min, r.speedup);
+    int8_log_sum += std::log(r.speedup);
+  }
+  const double int8_geomean = std::exp(int8_log_sum / int8.size());
+  std::printf("  min speedup %.2fx, geomean %.2fx\n", int8_min, int8_geomean);
+
   obs::JsonWriter json;
   json.BeginObject();
   json.Key("bench").Value("kernels");
@@ -179,6 +297,26 @@ int main(int argc, char** argv) {
   json.EndArray();
   json.Key("min_speedup").Value(min_speedup);
   json.Key("geomean_speedup").Value(geomean);
+  json.Key("int8");
+  json.BeginObject();
+  json.Key("arch").Value(Int8KernelArchName());
+  json.Key("shapes");
+  json.BeginArray();
+  for (const auto& r : int8) {
+    json.BeginObject();
+    json.Key("label").Value(r.label);
+    json.Key("m").Value(r.m);
+    json.Key("k").Value(r.k);
+    json.Key("n").Value(r.n);
+    json.Key("scalar_gops").Value(r.scalar_gops);
+    json.Key("packed_gops").Value(r.packed_gops);
+    json.Key("speedup").Value(r.speedup);
+    json.EndObject();
+  }
+  json.EndArray();
+  json.Key("min_speedup").Value(int8_min);
+  json.Key("geomean_speedup").Value(int8_geomean);
+  json.EndObject();
   json.EndObject();
   if (!json.WriteFile(out_path)) return 1;
   std::printf("\nwrote %s\n", out_path.c_str());

@@ -171,8 +171,9 @@ int main(int argc, char** argv) {
   // claimed for.  Reps run single-threaded (scheduler jitter on shared
   // cores dwarfs the tracing cost itself) and interleaved in pairs, and
   // the headline is the *median* of the per-pair relative differences:
-  // pairing cancels slow machine drift, the median kills outliers, so the
-  // bit gates stably even on a noisy host.
+  // pairing cancels slow machine drift, alternating which side runs first
+  // in each pair cancels the warm-cache advantage of running second, and
+  // the median kills outliers, so the bit gates stably on a noisy host.
   const auto load = ObsTrace(180.0, requests);
   const auto overhead_load = ObsTrace(180.0, 2 * requests);
   const int reps = 9;
@@ -180,10 +181,18 @@ int main(int argc, char** argv) {
   double untraced = 1e300, traced = 1e300;
   ReplayWallSeconds(model, ObsEngineConfig(1, false), load);  // warmup
   for (int r = 0; r < reps; ++r) {
-    const double u =
-        ReplayWallSeconds(model, ObsEngineConfig(1, false), overhead_load);
-    const double t =
-        ReplayWallSeconds(model, ObsEngineConfig(1, true), overhead_load);
+    const auto replay = [&](bool traced_run) {
+      return ReplayWallSeconds(model, ObsEngineConfig(1, traced_run),
+                               overhead_load);
+    };
+    double u = 0, t = 0;
+    if (r % 2 == 0) {
+      u = replay(false);
+      t = replay(true);
+    } else {
+      t = replay(true);
+      u = replay(false);
+    }
     pair_fracs.push_back(t / u - 1.0);
     if (u < untraced) untraced = u;
     if (t < traced) traced = t;

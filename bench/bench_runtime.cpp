@@ -122,11 +122,16 @@ struct ScalingPoint {
   double speedup = 0;
 };
 
+// The inference mode the scaling cells time, and its name in the banner
+// and the JSON.
+constexpr InferenceMode kScalingMode = InferenceMode::kSparseInt8;
+constexpr const char* kScalingModeName = "sparse_int8";
+
 std::vector<ScalingPoint> BenchBatchRunnerScaling() {
   const ModelConfig small = ScaledDown(BertBase(), 4);
   const ModelInstance model(small, 2022);
   InferenceConfig inf;
-  inf.mode = InferenceMode::kSparseInt8;
+  inf.mode = kScalingMode;
   inf.sparse.top_k = 30;
 
   // A batch of variable-length sequences shaped like MRPC.
@@ -143,8 +148,8 @@ std::vector<ScalingPoint> BenchBatchRunnerScaling() {
     xs.push_back(MakeInputEmbedding(rng, len, small.encoder.hidden));
   }
 
-  std::printf("== BatchRunner: %zu seqs, %zu tokens, model %s ==\n", batch,
-              tokens, small.name.c_str());
+  std::printf("== BatchRunner: %zu seqs, %zu tokens, model %s, mode %s ==\n",
+              batch, tokens, small.name.c_str(), kScalingModeName);
   const auto shards = ShardByTokens(lengths, 4);
   std::printf("  LPT 4-shard token balance:");
   for (const auto& s : shards) {
@@ -194,6 +199,7 @@ int main(int argc, char** argv) {
   json.Key("workspace_ms").Value(workspace.workspace_ms);
   json.Key("speedup").Value(workspace.speedup);
   json.EndObject();
+  json.Key("mode").Value(latte::kScalingModeName);
   json.Key("scaling");
   json.BeginArray();
   for (const auto& p : scaling) {

@@ -176,6 +176,21 @@ def compare_kernels(gate, base, cur):
                    got["speedup"], "info-higher")
         gate.check("kernels", "%s.tiled_gflops" % label,
                    shape["tiled_gflops"], got["tiled_gflops"], "info-higher")
+    # The packed int8 GEMM's cells: report-only until a baseline
+    # recorded on the CI host exists to gate them against.
+    base_int8 = base.get("int8")
+    if base_int8 is None:
+        return
+    gate.check("kernels", "int8.min_speedup", base_int8["min_speedup"],
+               cur["int8"]["min_speedup"], "info-higher")
+    cur_int8 = {s["label"]: s for s in cur["int8"]["shapes"]}
+    for shape in base_int8["shapes"]:
+        got = cur_int8.get(shape["label"])
+        if got is None:
+            gate.missing("kernels", "int8 shape %s" % shape["label"])
+            continue
+        gate.check("kernels", "int8.%s.packed_gops" % shape["label"],
+                   shape["packed_gops"], got["packed_gops"], "info-higher")
 
 
 @bench_compare("BENCH_runtime.json")

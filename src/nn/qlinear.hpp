@@ -19,19 +19,23 @@ struct QuantizedLinear {
   /// Rows per int8 GEMM chunk in ForwardInto.
   static constexpr std::size_t kRowChunk = 64;
 
-  QuantizedMatrix weight;   ///< (in x out) codes + scale
-  std::vector<float> bias;  ///< float bias, applied after dequantization
+  QuantizedMatrix weight;    ///< (in x out) codes + scale
+  PackedInt8Weights packed;  ///< weight.codes packed for the int8 GEMM
+  std::vector<float> bias;   ///< float bias, applied after dequantization
 
-  /// Quantizes an existing float layer (weights to 8-bit).
+  /// Quantizes an existing float layer (weights to 8-bit) and packs the
+  /// codes once; `packed` must be rebuilt if `weight` is changed.
   static QuantizedLinear FromFloat(const Linear& l);
 
   /// y = dequant(quant8(x) * Wq) + bias, written into `out` (resized,
   /// fully overwritten); same signature as Linear::ForwardInto.  x is
-  /// quantized with one symmetric scale over the whole matrix, then runs
-  /// through Int8GemmInto kRowChunk rows at a time via the int8/int32
-  /// chunk buffers of `scratch`, each chunk dequantized straight into
-  /// `out`.  Integer accumulation is exact, so the result does not depend
-  /// on the chunking.  `out` must not alias `x`.
+  /// quantized with one symmetric scale over the whole matrix, kRowChunk
+  /// rows at a time straight into the int16 activation rows of `scratch`,
+  /// and each chunk runs through Int8GemmPackedInto on `packed`.  One
+  /// epilogue pass per chunk writes float(acc) * scale into `out`, then
+  /// adds the bias as a separate rounding step.  Integer accumulation is
+  /// exact, so the result does not depend on the chunking.  `out` must
+  /// not alias `x`.
   void ForwardInto(const MatrixF& x, GemmScratch& scratch, MatrixF& out) const;
 
   std::size_t in_features() const { return weight.codes.rows(); }

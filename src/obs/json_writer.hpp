@@ -174,6 +174,7 @@ inline void StampHost(JsonWriter& json) {
   json.Key("host");
   json.BeginObject();
   json.Key("kernel_arch").Value(KernelArchName());
+  json.Key("int8_kernel_arch").Value(Int8KernelArchName());
   json.Key("hardware_threads")
       .Value(static_cast<std::size_t>(std::thread::hardware_concurrency()));
   json.Key("compiler").Value(CompilerId());

@@ -1,9 +1,10 @@
 #include "tensor/kernels.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__) || defined(__SSE2__)
 #include <immintrin.h>
 #endif
 
@@ -241,6 +242,171 @@ void TiledGemm(const MatrixF& a, std::size_t k, std::size_t m, MatrixF& c,
   }
 }
 
+// ---------------------------------------------------------------- int8 --
+//
+// The int8 GEMM reduces over K-pairs: activations are int16 rows, and a
+// packed weight panel holds, per pair q, the int16 pairs (w[2q][j],
+// w[2q+1][j]) of its kNr8 columns, so one int32 lane of a panel row is one
+// column's pair.  Broadcasting an activation pair (a[2q], a[2q+1]) as an
+// int32 and multiply-adding pairs against a panel row yields the pair's
+// contribution to every column at once.  The largest pair sum,
+// 2 * (-128)^2 = 32768, fits an int32 lane, so no input overflows.
+//
+// Tile geometry: AVX2 keeps a 6 x 16 int32 tile in 12 ymm accumulators,
+// SSE2 a 4 x 8 tile in 8 xmm, each with two panel loads and one broadcast
+// in flight; the portable loop uses the SSE2 extents.  A K-tile of kKc8
+// codes keeps one panel slice (kKc8 x kNr8 int16: 8 KiB at kNr8 = 8) in L1
+// across the row sweep of an M-block.
+#if defined(__AVX2__)
+constexpr std::size_t kMr8 = 6;
+constexpr std::size_t kNr8 = 16;
+#else
+constexpr std::size_t kMr8 = 4;
+constexpr std::size_t kNr8 = 8;
+#endif
+constexpr std::size_t kKc8 = 512;
+constexpr std::size_t kPairsPerTile = kKc8 / 2;
+
+// One pair-row of a panel: kNr8 columns x 2 int16.
+constexpr std::size_t kPanelRow = 2 * kNr8;
+
+inline std::int32_t LoadPair(const std::int16_t* p) {
+  std::int32_t v;
+  std::memcpy(&v, p, sizeof(v));  // unaligned-safe, no strict aliasing
+  return v;
+}
+
+// Writes one MR x nr accumulator tile into C: stores on the first K-tile,
+// adds onto the partial sums of earlier K-tiles after it.
+template <std::size_t MR>
+void StoreTile(const std::int32_t (&tile)[MR][kNr8], std::int32_t* c,
+               std::size_t ldc, std::size_t nr, bool accumulate) {
+  for (std::size_t i = 0; i < MR; ++i) {
+    std::int32_t* ci = c + i * ldc;
+    if (accumulate) {
+      for (std::size_t j = 0; j < nr; ++j) ci[j] += tile[i][j];
+    } else {
+      for (std::size_t j = 0; j < nr; ++j) ci[j] = tile[i][j];
+    }
+  }
+}
+
+#if defined(__AVX2__) || defined(__SSE2__)
+
+#if defined(__AVX2__)
+using VecI = __m256i;
+inline VecI LoadVec(const std::int16_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+inline VecI LoadVec(const std::int32_t* p) {
+  return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
+}
+inline void StoreVec(std::int32_t* p, VecI v) {
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+}
+inline VecI Broadcast(std::int32_t v) { return _mm256_set1_epi32(v); }
+inline VecI MulAddPairs(VecI a, VecI b) { return _mm256_madd_epi16(a, b); }
+inline VecI Add(VecI a, VecI b) { return _mm256_add_epi32(a, b); }
+#else
+using VecI = __m128i;
+inline VecI LoadVec(const std::int16_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+inline VecI LoadVec(const std::int32_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+inline void StoreVec(std::int32_t* p, VecI v) {
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(p), v);
+}
+inline VecI Broadcast(std::int32_t v) { return _mm_set1_epi32(v); }
+inline VecI MulAddPairs(VecI a, VecI b) { return _mm_madd_epi16(a, b); }
+inline VecI Add(VecI a, VecI b) { return _mm_add_epi32(a, b); }
+#endif
+// int32 lanes per vector, and vectors per panel row.
+constexpr std::size_t kLanes8 = sizeof(VecI) / sizeof(std::int32_t);
+constexpr std::size_t kVecs8 = kNr8 / kLanes8;
+static_assert(kNr8 % kLanes8 == 0);
+
+// MR x kNr8 micro-kernel over kq K-pairs: MR x kVecs8 vector accumulators
+// stay in registers (every loop but the one over q is fully unrolled),
+// each step loading one panel row and broadcasting one pair per row.
+template <std::size_t MR>
+void Int8MicroKernel(std::size_t kq, const std::int16_t* a, std::size_t lda,
+                     const std::int16_t* bp, std::int32_t* c, std::size_t ldc,
+                     std::size_t nr, bool accumulate) {
+  VecI acc[MR][kVecs8];
+  for (std::size_t i = 0; i < MR; ++i) {
+    for (std::size_t v = 0; v < kVecs8; ++v) acc[i][v] = Broadcast(0);
+  }
+  for (std::size_t q = 0; q < kq; ++q) {
+    VecI b[kVecs8];
+    for (std::size_t v = 0; v < kVecs8; ++v) {
+      b[v] = LoadVec(bp + q * kPanelRow + v * 2 * kLanes8);
+    }
+    for (std::size_t i = 0; i < MR; ++i) {
+      const VecI ai = Broadcast(LoadPair(a + i * lda + 2 * q));
+      for (std::size_t v = 0; v < kVecs8; ++v) {
+        acc[i][v] = Add(acc[i][v], MulAddPairs(ai, b[v]));
+      }
+    }
+  }
+  if (nr == kNr8) {
+    for (std::size_t i = 0; i < MR; ++i) {
+      std::int32_t* ci = c + i * ldc;
+      for (std::size_t v = 0; v < kVecs8; ++v) {
+        if (accumulate) acc[i][v] = Add(acc[i][v], LoadVec(ci + v * kLanes8));
+        StoreVec(ci + v * kLanes8, acc[i][v]);
+      }
+    }
+    return;
+  }
+  std::int32_t tile[MR][kNr8];
+  for (std::size_t i = 0; i < MR; ++i) {
+    for (std::size_t v = 0; v < kVecs8; ++v) {
+      StoreVec(tile[i] + v * kLanes8, acc[i][v]);
+    }
+  }
+  StoreTile(tile, c, ldc, nr, accumulate);
+}
+
+#else
+
+// Plain packed loop for targets without the x86 pair-multiply-add: the
+// same panel walk on a local int32 tile, left to the auto-vectorizer.
+template <std::size_t MR>
+void Int8MicroKernel(std::size_t kq, const std::int16_t* a, std::size_t lda,
+                     const std::int16_t* bp, std::int32_t* c, std::size_t ldc,
+                     std::size_t nr, bool accumulate) {
+  std::int32_t tile[MR][kNr8] = {};
+  for (std::size_t q = 0; q < kq; ++q) {
+    const std::int16_t* b = bp + q * kPanelRow;
+    for (std::size_t i = 0; i < MR; ++i) {
+      const std::int32_t a0 = a[i * lda + 2 * q];
+      const std::int32_t a1 = a[i * lda + 2 * q + 1];
+      for (std::size_t j = 0; j < kNr8; ++j) {
+        tile[i][j] += a0 * b[2 * j] + a1 * b[2 * j + 1];
+      }
+    }
+  }
+  StoreTile(tile, c, ldc, nr, accumulate);
+}
+
+#endif
+
+// Runs the micro-kernel instantiated for the mr rows left in this tile.
+template <std::size_t MR = kMr8>
+void Int8Tile(std::size_t mr, std::size_t kq, const std::int16_t* a,
+              std::size_t lda, const std::int16_t* bp, std::int32_t* c,
+              std::size_t ldc, std::size_t nr, bool accumulate) {
+  if constexpr (MR > 1) {
+    if (mr < MR) {
+      Int8Tile<MR - 1>(mr, kq, a, lda, bp, c, ldc, nr, accumulate);
+      return;
+    }
+  }
+  Int8MicroKernel<MR>(kq, a, lda, bp, c, ldc, nr, accumulate);
+}
+
 GemmScratch& ThreadLocalScratch() {
   thread_local GemmScratch scratch;
   return scratch;
@@ -254,6 +420,73 @@ const char* KernelArchName() {
 #else
   return "portable";
 #endif
+}
+
+const char* Int8KernelArchName() {
+#if defined(__AVX2__)
+  return "avx2";
+#elif defined(__SSE2__)
+  return "sse2";
+#else
+  return "portable";
+#endif
+}
+
+void PackInt8WeightsInto(const MatrixI8& w, PackedInt8Weights& packed) {
+  const std::size_t k = w.rows();
+  const std::size_t m = w.cols();
+  const std::size_t pairs = Int8ActivationWidth(k) / 2;
+  const std::size_t panels = (m + kNr8 - 1) / kNr8;
+  packed.rows = k;
+  packed.cols = m;
+  packed.panels.assign(panels * pairs * kPanelRow, 0);
+  for (std::size_t jp = 0; jp < panels; ++jp) {
+    const std::size_t j0 = jp * kNr8;
+    const std::size_t nr = std::min(kNr8, m - j0);
+    std::int16_t* panel = packed.panels.data() + jp * pairs * kPanelRow;
+    for (std::size_t p = 0; p < k; ++p) {
+      const std::int8_t* src = w.row(p).data() + j0;
+      std::int16_t* dst = panel + (p / 2) * kPanelRow + (p & 1);
+      for (std::size_t j = 0; j < nr; ++j) dst[2 * j] = src[j];
+    }
+  }
+}
+
+// Blocked int8 GEMM: K-tiles of kPairsPerTile pairs, M-blocks of kMc
+// rows, kNr8-wide panels, kMr8-row register tiles.
+void Int8GemmPackedInto(const MatrixI16& a, const PackedInt8Weights& w,
+                        MatrixI32& out) {
+  if (a.cols() != Int8ActivationWidth(w.rows)) {
+    throw std::invalid_argument(
+        "Int8GemmPackedInto: activation width does not match the weights");
+  }
+  const std::size_t n = a.rows();
+  const std::size_t m = w.cols;
+  const std::size_t pairs = a.cols() / 2;
+  out.Resize(n, m);
+  if (pairs == 0) {
+    std::fill(out.flat().begin(), out.flat().end(), 0);
+    return;
+  }
+  const std::size_t panels = (m + kNr8 - 1) / kNr8;
+  for (std::size_t q0 = 0; q0 < pairs; q0 += kPairsPerTile) {
+    const std::size_t kq = std::min(kPairsPerTile, pairs - q0);
+    const bool accumulate = q0 > 0;
+    for (std::size_t ic = 0; ic < n; ic += kMc) {
+      const std::size_t mc = std::min(kMc, n - ic);
+      for (std::size_t jp = 0; jp < panels; ++jp) {
+        const std::size_t j0 = jp * kNr8;
+        const std::size_t nr = std::min(kNr8, m - j0);
+        const std::int16_t* bp =
+            w.panels.data() + (jp * pairs + q0) * kPanelRow;
+        for (std::size_t ir = 0; ir < mc; ir += kMr8) {
+          Int8Tile(std::min(kMr8, mc - ir), kq,
+                   a.row(ic + ir).data() + 2 * q0, a.cols(), bp,
+                   out.row(ic + ir).data() + j0, m, nr, accumulate);
+        }
+      }
+    }
+  }
 }
 
 void MatMulInto(const MatrixF& a, const MatrixF& b, MatrixF& c,
@@ -320,44 +553,18 @@ void Int8GemmInto(const MatrixI8& x, const MatrixI8& w, MatrixI32& out) {
   if (x.cols() != w.rows()) {
     throw std::invalid_argument("Int8GemmInto: inner dimensions differ");
   }
-  const std::size_t n = x.rows();
+  thread_local PackedInt8Weights packed;
+  thread_local MatrixI16 wide;
+  PackInt8WeightsInto(w, packed);
   const std::size_t k = x.cols();
-  const std::size_t m = w.cols();
-  out.Resize(n, m);
-  std::fill(out.flat().begin(), out.flat().end(), 0);
-  if (n == 0 || m == 0 || k == 0) return;
-
-  // Four output rows per sweep: each loaded row of W feeds four
-  // accumulator rows, quartering W traffic versus the naive loop.  No
-  // zero-skip branch -- dense activations rarely quantize to zero, and
-  // the branch defeats vectorization of the inner loop.
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    auto x0 = x.row(i), x1 = x.row(i + 1), x2 = x.row(i + 2),
-         x3 = x.row(i + 3);
-    auto o0 = out.row(i), o1 = out.row(i + 1), o2 = out.row(i + 2),
-         o3 = out.row(i + 3);
-    for (std::size_t p = 0; p < k; ++p) {
-      const std::int32_t a0 = x0[p], a1 = x1[p], a2 = x2[p], a3 = x3[p];
-      auto wp = w.row(p);
-      for (std::size_t j = 0; j < m; ++j) {
-        const std::int32_t wj = wp[j];
-        o0[j] += a0 * wj;
-        o1[j] += a1 * wj;
-        o2[j] += a2 * wj;
-        o3[j] += a3 * wj;
-      }
-    }
+  wide.Resize(x.rows(), Int8ActivationWidth(k));
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    const auto src = x.row(i);
+    const auto dst = wide.row(i);
+    std::copy(src.begin(), src.end(), dst.begin());
+    if (dst.size() > k) dst[k] = 0;
   }
-  for (; i < n; ++i) {
-    auto xi = x.row(i);
-    auto oi = out.row(i);
-    for (std::size_t p = 0; p < k; ++p) {
-      const std::int32_t a = xi[p];
-      auto wp = w.row(p);
-      for (std::size_t j = 0; j < m; ++j) oi[j] += a * wp[j];
-    }
-  }
+  Int8GemmPackedInto(wide, packed, out);
 }
 
 float DotProduct(std::span<const float> a, std::span<const float> b) {

@@ -14,9 +14,19 @@
 // auto-vectorizes on the baseline ISA.  `KernelArchName()` reports which
 // one was compiled in.
 //
-// Accumulation order differs from the naive triple loop, so float results
-// agree with the scalar reference only to rounding (compare with relative
-// tolerance; tests/kernels_test.cpp uses 1e-4).  Every kernel is
+// The int8 GEMM runs the same blocked loop nest on its own operands.  B
+// is packed once into int16 K-pair panels (PackedInt8Weights) and the
+// activations are widened to int16 rows, so one multiply-add-pairs
+// instruction (pmaddwd) computes a[2q]*w[2q][j] + a[2q+1]*w[2q+1][j] for a
+// whole vector of columns: AVX2 `_mm256_madd_epi16` under
+// -DLATTE_NATIVE_ARCH=ON, SSE2 `_mm_madd_epi16` on the x86-64 baseline,
+// and a plain packed loop elsewhere.  `Int8KernelArchName()` names it.
+// int8 products summed in int32 are exact, so every variant is bitwise
+// equal to the naive triple loop.
+//
+// Float accumulation order differs from the naive triple loop, so float
+// results agree with the scalar reference only to rounding (compare with
+// relative tolerance; tests/kernels_test.cpp uses 1e-4).  Every kernel is
 // deterministic: the same inputs produce bit-identical outputs on every
 // call, with or without a reused scratch, which is what keeps the batched
 // runtime's exact batch-vs-sequential tests meaningful.
@@ -36,17 +46,50 @@ namespace latte {
 /// nothing.
 struct GemmScratch {
   std::vector<float> bpack;  ///< packed B panels for the current K-tile
-  MatrixI8 a8;               ///< int8 activation codes of one row chunk
+  MatrixI16 a16;             ///< int16 activation rows of one row chunk
   MatrixI32 acc;             ///< int32 accumulators of one row chunk
 
   std::size_t CapacityBytes() const {
-    return bpack.capacity() * sizeof(float) + a8.capacity() +
+    return bpack.capacity() * sizeof(float) +
+           a16.capacity() * sizeof(std::int16_t) +
            acc.capacity() * sizeof(std::int32_t);
   }
 };
 
-/// Compile-time selected micro-kernel ISA: "avx2+fma" or "portable".
+/// A (k x m) int8 code matrix packed once for the int8 GEMM:
+/// column panels of the micro-kernel's register width, each holding, per K-pair
+/// q, the int16 pairs (w[2q][j], w[2q+1][j]) of its columns.  An odd k and
+/// the last panel's column tail are zero-padded.  Build it with
+/// PackInt8WeightsInto; the layout is private to the GEMM.
+struct PackedInt8Weights {
+  std::size_t rows = 0;             ///< k
+  std::size_t cols = 0;             ///< m
+  std::vector<std::int16_t> panels;
+};
+
+/// Compile-time selected float micro-kernel ISA: "avx2+fma" or "portable".
 const char* KernelArchName();
+
+/// Compile-time selected int8 micro-kernel: "avx2" (`_mm256_madd_epi16`),
+/// "sse2" (`_mm_madd_epi16`) or "portable".
+const char* Int8KernelArchName();
+
+/// Row width of the int16 activation operand for a reduction extent k: k
+/// rounded up to even, so every row is a whole number of K-pairs.
+constexpr std::size_t Int8ActivationWidth(std::size_t k) {
+  return k + (k & 1);
+}
+
+/// Packs `w` into `packed` (storage reused when it fits).
+void PackInt8WeightsInto(const MatrixI8& w, PackedInt8Weights& packed);
+
+/// Exact int8 GEMM on pre-packed weights: out = a * w, int32 accumulation.
+/// `a` holds n rows of int8-range codes widened to int16, each of width
+/// Int8ActivationWidth(w.rows) (the pad column of an odd k meets a zero
+/// weight row, so its value does not matter).  out is resized to
+/// (n x w.cols) and fully overwritten.  Throws on shape mismatch.
+void Int8GemmPackedInto(const MatrixI16& a, const PackedInt8Weights& w,
+                        MatrixI32& out);
 
 /// C = A * B.  A is (n x k), B is (k x m); c is resized to (n x m) and
 /// fully overwritten.  Throws on shape mismatch.  `c` must not alias `a`
@@ -90,9 +133,10 @@ void MatMulBTInto(const MatrixF& a, const MatrixF& b, MatrixF& c,
 void MatMulBTInto(const MatrixF& a, const MatrixF& b, MatrixF& c);
 
 /// Exact int8 GEMM with int32 accumulation: out = x * w where x is
-/// (n x k) codes and w is (k x m) codes.  Integer accumulation is
-/// associative, so the row-blocked loop is bit-exact against the naive
-/// reference.  out is resized to (n x m) and fully overwritten.
+/// (n x k) codes and w is (k x m) codes.  Packs w and widens x into
+/// thread-local scratch on every call, then runs Int8GemmPackedInto; a
+/// caller with static weights packs them once and calls that instead.
+/// out is resized to (n x m) and fully overwritten.
 void Int8GemmInto(const MatrixI8& x, const MatrixI8& w, MatrixI32& out);
 
 /// Dot product with unrolled partial sums (reordered accumulation;

@@ -25,26 +25,6 @@ MatrixF MatMulBT(const MatrixF& a, const MatrixF& b) {
   return c;
 }
 
-MatrixF MatMulSkipZeros(const MatrixF& a, const MatrixF& b) {
-  if (a.cols() != b.rows()) {
-    throw std::invalid_argument("MatMulSkipZeros: inner dimensions differ");
-  }
-  MatrixF c(a.rows(), b.cols());
-  // i-k-j loop order: streams over B rows, friendly to the row-major
-  // layout; the zero test makes cost proportional to nnz(A).
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    auto ci = c.row(i);
-    auto ai = a.row(i);
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const float aik = ai[k];
-      if (aik == 0.f) continue;
-      auto bk = b.row(k);
-      for (std::size_t j = 0; j < b.cols(); ++j) ci[j] += aik * bk[j];
-    }
-  }
-  return c;
-}
-
 MatrixF Transpose(const MatrixF& a) {
   MatrixF t(a.cols(), a.rows());
   for (std::size_t i = 0; i < a.rows(); ++i) {

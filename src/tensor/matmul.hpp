@@ -15,13 +15,6 @@ MatrixF MatMul(const MatrixF& a, const MatrixF& b);
 /// allocating shim over the tiled kernel, like MatMul.
 MatrixF MatMulBT(const MatrixF& a, const MatrixF& b);
 
-/// C = A * B for a sparse-in-A multiplicand: the inner loop skips zero
-/// elements of A, so cost scales with nnz(A) instead of n*k.  This is the
-/// seed's scalar loop; keep it for genuinely sparse inputs (e.g. masked
-/// score rows) -- on dense inputs the per-element branch makes it several
-/// times slower than MatMul.
-MatrixF MatMulSkipZeros(const MatrixF& a, const MatrixF& b);
-
 /// Returns A^T.
 MatrixF Transpose(const MatrixF& a);
 

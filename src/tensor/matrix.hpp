@@ -100,6 +100,7 @@ class Matrix {
 
 using MatrixF = Matrix<float>;
 using MatrixI8 = Matrix<std::int8_t>;
+using MatrixI16 = Matrix<std::int16_t>;
 using MatrixI32 = Matrix<std::int32_t>;
 
 }  // namespace latte

@@ -47,13 +47,22 @@ float QuantizationStep(int bits, float M);
 void QuantizeRowsInto(const MatrixF& m, std::size_t row0, std::size_t row1,
                       int bits, float M, MatrixI8& codes);
 
+/// QuantizeValue(src[i], bits, M) for every element, bit for bit, written
+/// as int16 into dst (same length; throws otherwise) in one vectorizable
+/// pass -- the rounding of QuantizeRowsInto, into the widened activation
+/// rows of the int8 GEMM.
+void QuantizeSpanInto(std::span<const float> src, int bits, float M,
+                      std::span<std::int16_t> dst);
+
 /// Reconstructs the float approximation codes * scale.
 MatrixF Dequantize(const QuantizedMatrix& q);
 
 /// Maximum representable code magnitude for a bit width: 2^(b-1)-1 (1 for b=1).
 int MaxCode(int bits);
 
-/// Quantizes a single value given scale factor M and bit width.
+/// Quantizes a single value given scale factor M and bit width:
+/// round((2^(b-1)-1) / M * x) with halves rounded away from zero, saturated
+/// to +-(2^(b-1)-1).  A NaN product, or M <= 0 (or NaN), gives 0.
 std::int8_t QuantizeValue(float x, int bits, float M);
 
 }  // namespace latte

@@ -75,6 +75,18 @@ TEST(AllocationBudgetTest, CounterSeesHeapAllocations) {
   EXPECT_EQ(SteadyStateAllocations([] { (void)MatrixF(3, 4); }), 1u);
 }
 
+TEST(AllocationBudgetTest, QuantizedLinearForward) {
+  const LayerFixture f;
+  GemmScratch scratch;
+  MatrixF out;
+  // 96 rows stream through a full and a partial int8 row chunk; the int16
+  // activation rows and int32 accumulators live in the scratch.
+  ExpectWithinBudget("int8 projection (FFN1)", SteadyStateAllocations([&] {
+                       f.qw.ffn1.ForwardInto(f.x, scratch, out);
+                     }),
+                     0);
+}
+
 TEST(AllocationBudgetTest, UnshardedEncoderLayer) {
   const LayerFixture f;
   Workspace ws;

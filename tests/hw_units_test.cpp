@@ -218,15 +218,19 @@ TEST(QuantizedLinearTest, InputWidthChecked) {
 }
 
 // The unchunked int8 datapath: one quantization of the whole input, one
-// int32 GEMM, dequantize, bias.
+// naive int32 triple loop over the unpacked codes, dequantize, then bias
+// as a separate pass.
 MatrixF ReferenceQuantizedForward(const QuantizedLinear& q, const MatrixF& x) {
   const QuantizedMatrix xq = Quantize(x, 8);
-  MatrixI32 acc;
-  Int8GemmInto(xq.codes, q.weight.codes, acc);
+  const MatrixI8& w = q.weight.codes;
   MatrixF y(x.rows(), q.out_features());
   for (std::size_t i = 0; i < y.rows(); ++i) {
     for (std::size_t j = 0; j < y.cols(); ++j) {
-      y(i, j) = static_cast<float>(acc(i, j)) * (xq.scale * q.weight.scale);
+      std::int32_t acc = 0;
+      for (std::size_t p = 0; p < w.rows(); ++p) {
+        acc += static_cast<std::int32_t>(xq.codes(i, p)) * w(p, j);
+      }
+      y(i, j) = static_cast<float>(acc) * (xq.scale * q.weight.scale);
     }
   }
   if (!q.bias.empty()) AddBiasInPlace(y, q.bias);
@@ -235,25 +239,38 @@ MatrixF ReferenceQuantizedForward(const QuantizedLinear& q, const MatrixF& x) {
 
 TEST(QuantizedLinearTest, ChunkedForwardMatchesUnchunkedBitExactly) {
   Rng rng(16);
-  const QuantizedLinear q =
-      QuantizedLinear::FromFloat(MakeLinear(rng, 24, 20));
+  // Odd input width: the packed GEMM's K-pair pad is in play.
+  QuantizedLinear q = QuantizedLinear::FromFloat(MakeLinear(rng, 25, 20));
   constexpr std::size_t kChunk = QuantizedLinear::kRowChunk;
   GemmScratch scratch;
   MatrixF y;
-  for (std::size_t n : {std::size_t{0}, std::size_t{1}, kChunk - 1, kChunk,
-                        kChunk + 1, 2 * kChunk + 3}) {
-    const MatrixF x = rng.NormalMatrix(n, 24, 0.0, 1.0);
-    const MatrixF expected = ReferenceQuantizedForward(q, x);
-    q.ForwardInto(x, scratch, y);
-    EXPECT_EQ(y, expected) << "n=" << n;
-    // Again after a larger call on the same scratch: stale chunk contents
-    // must not leak into the smaller one.
-    const MatrixF big = rng.NormalMatrix(3 * kChunk + 5, 24, 0.0, 4.0);
-    q.ForwardInto(big, scratch, y);
-    EXPECT_EQ(y, ReferenceQuantizedForward(q, big));
-    q.ForwardInto(x, scratch, y);
-    EXPECT_EQ(y, expected) << "n=" << n << " after a larger call";
+  for (const bool with_bias : {true, false}) {
+    if (!with_bias) q.bias.clear();
+    for (std::size_t n : {std::size_t{0}, std::size_t{1}, kChunk - 1, kChunk,
+                          kChunk + 1, 2 * kChunk + 3}) {
+      const MatrixF x = rng.NormalMatrix(n, 25, 0.0, 1.0);
+      const MatrixF expected = ReferenceQuantizedForward(q, x);
+      q.ForwardInto(x, scratch, y);
+      EXPECT_EQ(y, expected) << "n=" << n << " bias=" << with_bias;
+      // Again after a larger call on the same scratch: stale chunk
+      // contents must not leak into the smaller one.
+      const MatrixF big = rng.NormalMatrix(3 * kChunk + 5, 25, 0.0, 4.0);
+      q.ForwardInto(big, scratch, y);
+      EXPECT_EQ(y, ReferenceQuantizedForward(q, big));
+      q.ForwardInto(x, scratch, y);
+      EXPECT_EQ(y, expected) << "n=" << n << " after a larger call";
+    }
   }
+}
+
+TEST(QuantizedLinearTest, BiasLengthChecked) {
+  Rng rng(17);
+  QuantizedLinear q = QuantizedLinear::FromFloat(MakeLinear(rng, 8, 6));
+  q.bias.resize(5);
+  GemmScratch scratch;
+  MatrixF out;
+  EXPECT_THROW(q.ForwardInto(MatrixF(2, 8), scratch, out),
+               std::invalid_argument);
 }
 
 TEST(QuantizedEncoderTest, MatchesFloatEncoder) {

@@ -1,11 +1,13 @@
 // Property tests for the tiled/packed/workspace GEMM family in
-// tensor/kernels.hpp: every variant must agree with the scalar reference
-// within 1e-4 relative tolerance across odd shapes (1xN, Nx1, dims that
-// are not multiples of any tile extent), the int8 kernel must be exact,
-// and reused scratch must never change results or keep allocating.
+// tensor/kernels.hpp: every float variant must agree with the scalar
+// reference within 1e-4 relative tolerance across odd shapes (1xN, Nx1,
+// dims that are not multiples of any tile extent), the int8 GEMM must be
+// bitwise equal to the naive triple loop, and reused scratch must never
+// change results or keep allocating.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
 #include <vector>
@@ -45,6 +47,47 @@ MatrixF RefMatMulBT(const MatrixF& a, const MatrixF& b) {
   return c;
 }
 
+// Naive int8 triple loop with int32 accumulation: the oracle the packed
+// int8 GEMM must equal bit for bit.
+MatrixI32 RefInt8Gemm(const MatrixI8& x, const MatrixI8& w) {
+  MatrixI32 c(x.rows(), w.cols());
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    for (std::size_t j = 0; j < w.cols(); ++j) {
+      std::int32_t acc = 0;
+      for (std::size_t p = 0; p < x.cols(); ++p) {
+        acc += static_cast<std::int32_t>(x(i, p)) * w(p, j);
+      }
+      c(i, j) = acc;
+    }
+  }
+  return c;
+}
+
+// Codes drawn uniformly from the full int8 range -128..127.
+MatrixI8 RandomCodes(Rng& rng, std::size_t rows, std::size_t cols) {
+  MatrixI8 m(rows, cols);
+  for (auto& v : m.flat()) {
+    v = static_cast<std::int8_t>(static_cast<int>(rng.NextIndex(256)) - 128);
+  }
+  return m;
+}
+
+// Writes the int16 activation operand of the packed GEMM for codes x
+// into `a` (resized in place; the odd-k pad column is zeroed).
+void WidenCodesInto(const MatrixI8& x, MatrixI16& a) {
+  a.Resize(x.rows(), Int8ActivationWidth(x.cols()));
+  std::fill(a.flat().begin(), a.flat().end(), std::int16_t{0});
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    for (std::size_t p = 0; p < x.cols(); ++p) a(i, p) = x(i, p);
+  }
+}
+
+MatrixI16 WidenCodes(const MatrixI8& x) {
+  MatrixI16 a;
+  WidenCodesInto(x, a);
+  return a;
+}
+
 void ExpectNearRel(const MatrixF& got, const MatrixF& want, float rel) {
   ASSERT_EQ(got.rows(), want.rows());
   ASSERT_EQ(got.cols(), want.cols());
@@ -56,13 +99,16 @@ void ExpectNearRel(const MatrixF& got, const MatrixF& want, float rel) {
 }
 
 // Shapes chosen to hit every tail path: single row/column, extents below,
-// at and straddling the register-tile and K-tile boundaries.
+// at and straddling the register-tile and K-tile boundaries of both the
+// float GEMM (K-tile 256) and the int8 GEMM (K-tile 512 codes), odd k,
+// and n and m that are not multiples of any register-tile extent.
 using Shape = std::tuple<std::size_t, std::size_t, std::size_t>;  // n, k, m
 
 const Shape kShapes[] = {
-    {1, 1, 1},   {1, 7, 1},    {7, 1, 5},     {1, 64, 33},
-    {5, 3, 2},   {4, 8, 8},    {6, 16, 16},   {17, 23, 31},
-    {33, 65, 9}, {13, 256, 7}, {31, 300, 47}, {64, 511, 19},
+    {1, 1, 1},     {1, 7, 1},     {7, 1, 5},      {1, 64, 33},
+    {5, 3, 2},     {4, 8, 8},     {6, 16, 16},    {17, 23, 31},
+    {33, 65, 9},   {13, 256, 7},  {31, 300, 47},  {64, 511, 19},
+    {11, 513, 23}, {7, 1027, 41}, {130, 128, 17},
 };
 
 class GemmShapeTest : public ::testing::TestWithParam<Shape> {};
@@ -103,41 +149,36 @@ TEST_P(GemmShapeTest, TiledBTMatchesReference) {
   EXPECT_EQ(c, MatMulBT(a, b)) << "scratch choice must not change bits";
 }
 
-TEST_P(GemmShapeTest, SkipZerosMatchesReference) {
-  const auto [n, k, m] = GetParam();
-  Rng rng(900 + n * 31 + k * 7 + m);
-  auto a = rng.NormalMatrix(n, k, 0.0, 1.0);
-  // Zero out a stripe so the skip actually fires.
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t c = 0; c < k; c += 3) a(i, c) = 0.f;
-  }
-  const auto b = rng.NormalMatrix(k, m, 0.0, 1.0);
-  ExpectNearRel(MatMulSkipZeros(a, b), RefMatMul(a, b), 1e-4f);
-}
-
 TEST_P(GemmShapeTest, Int8GemmIsExact) {
   const auto [n, k, m] = GetParam();
   Rng rng(1300 + n * 31 + k * 7 + m);
-  MatrixI8 x(n, k), w(k, m);
-  for (auto& v : x.flat()) {
-    v = static_cast<std::int8_t>(static_cast<int>(rng.NextIndex(255)) - 127);
-  }
-  for (auto& v : w.flat()) {
-    v = static_cast<std::int8_t>(static_cast<int>(rng.NextIndex(255)) - 127);
-  }
+  const MatrixI8 x = RandomCodes(rng, n, k);
+  const MatrixI8 w = RandomCodes(rng, k, m);
+  const MatrixI32 want = RefInt8Gemm(x, w);
+
   MatrixI32 got;
-  Int8GemmInto(x, w, got);
+  Int8GemmInto(x, w, got);  // packs w per call
   ASSERT_EQ(got.rows(), n);
   ASSERT_EQ(got.cols(), m);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      std::int32_t ref = 0;
-      for (std::size_t p = 0; p < k; ++p) {
-        ref += static_cast<std::int32_t>(x(i, p)) * w(p, j);
-      }
-      EXPECT_EQ(got(i, j), ref) << i << "," << j;
-    }
+  EXPECT_EQ(got, want);
+
+  PackedInt8Weights packed;
+  PackInt8WeightsInto(w, packed);
+  MatrixI32 got_packed;
+  Int8GemmPackedInto(WidenCodes(x), packed, got_packed);
+  EXPECT_EQ(got_packed, want);
+
+  // All -128: the largest product magnitude, in every pair of every row.
+  const MatrixI8 xmin(n, k, std::int8_t{-128});
+  const MatrixI8 wmin(k, m, std::int8_t{-128});
+  Int8GemmInto(xmin, wmin, got);
+  for (const std::int32_t v : got.flat()) {
+    ASSERT_EQ(v, static_cast<std::int32_t>(k) * 128 * 128);
   }
+  // Mixed extremes: -128 against 127 gives the most negative pair sums.
+  const MatrixI8 wmax(k, m, std::int8_t{127});
+  Int8GemmInto(xmin, wmax, got);
+  EXPECT_EQ(got, RefInt8Gemm(xmin, wmax));
 }
 
 INSTANTIATE_TEST_SUITE_P(OddShapes, GemmShapeTest,
@@ -174,8 +215,54 @@ TEST(KernelsTest, ShapeMismatchThrows) {
   MatrixI32 acc;
   EXPECT_THROW(Int8GemmInto(MatrixI8(2, 3), MatrixI8(4, 2), acc),
                std::invalid_argument);
-  EXPECT_THROW(MatMulSkipZeros(MatrixF(2, 3), MatrixF(4, 2)),
+  PackedInt8Weights packed;
+  PackInt8WeightsInto(MatrixI8(3, 2), packed);
+  // k = 3 needs activation rows of width 4 (two K-pairs).
+  EXPECT_THROW(Int8GemmPackedInto(MatrixI16(2, 3), packed, acc),
                std::invalid_argument);
+  EXPECT_NO_THROW(Int8GemmPackedInto(MatrixI16(2, 4), packed, acc));
+}
+
+TEST(KernelsTest, Int8ArchNameIsKnown) {
+  const std::string arch = Int8KernelArchName();
+  EXPECT_TRUE(arch == "avx2" || arch == "sse2" || arch == "portable") << arch;
+}
+
+TEST(KernelsTest, PackedInt8WeightsReusedAcrossGrowingAndShrinkingN) {
+  // One packed weight and one GemmScratch serve every row count; stale
+  // activation or accumulator rows from a larger call must never leak
+  // into a smaller one, and the buffers stop growing at the largest shape.
+  Rng rng(82);
+  const MatrixI8 w = RandomCodes(rng, 131, 45);  // odd k, ragged panels
+  PackedInt8Weights packed;
+  PackInt8WeightsInto(w, packed);
+  const std::size_t packed_capacity = packed.panels.capacity();
+  GemmScratch scratch;
+  std::size_t scratch_bytes = 0;
+  for (const std::size_t n : {1u, 5u, 64u, 200u, 3u, 131u, 0u, 200u, 7u}) {
+    const MatrixI8 x = RandomCodes(rng, n, 131);
+    WidenCodesInto(x, scratch.a16);
+    Int8GemmPackedInto(scratch.a16, packed, scratch.acc);
+    EXPECT_EQ(scratch.acc, RefInt8Gemm(x, w)) << "n=" << n;
+    if (n == 200) scratch_bytes = scratch.CapacityBytes();
+  }
+  EXPECT_EQ(scratch.CapacityBytes(), scratch_bytes);
+  EXPECT_EQ(packed.panels.capacity(), packed_capacity);
+}
+
+TEST(KernelsTest, RepackingReusesStorageAndTracksTheNewWeights) {
+  Rng rng(83);
+  PackedInt8Weights packed;
+  const MatrixI8 big = RandomCodes(rng, 64, 40);
+  const MatrixI8 small = RandomCodes(rng, 9, 3);
+  const MatrixI8 x_small = RandomCodes(rng, 6, 9);
+  PackInt8WeightsInto(big, packed);
+  const std::size_t capacity = packed.panels.capacity();
+  PackInt8WeightsInto(small, packed);
+  EXPECT_EQ(packed.panels.capacity(), capacity);
+  MatrixI32 got;
+  Int8GemmPackedInto(WidenCodes(x_small), packed, got);
+  EXPECT_EQ(got, RefInt8Gemm(x_small, small));
 }
 
 TEST(KernelsTest, ScratchShrinksAndRegrowsWithoutValueChanges) {
@@ -248,21 +335,6 @@ TEST(KernelsTest, DotProductMatchesSerialWithinTolerance) {
   }
   std::vector<float> a(3), b(4);
   EXPECT_THROW(DotProduct(a, b), std::invalid_argument);
-}
-
-TEST(KernelsTest, DenseMatMulNoLongerBranchesOnZeros) {
-  // The dense entry point must treat an all-zero A like any other input
-  // (the seed skipped zero elements inside MatMul itself); the sparse-
-  // aware entry point keeps the skip and still produces the same values.
-  MatrixF a(3, 4);  // all zeros
-  Rng rng(81);
-  const auto b = rng.NormalMatrix(4, 5, 0.0, 1.0);
-  const MatrixF dense = MatMul(a, b);
-  const MatrixF skip = MatMulSkipZeros(a, b);
-  for (std::size_t i = 0; i < dense.size(); ++i) {
-    EXPECT_EQ(dense.flat()[i], 0.f);
-    EXPECT_EQ(skip.flat()[i], 0.f);
-  }
 }
 
 }  // namespace

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <vector>
 
 #include "tensor/lut_multiply.hpp"
 #include "tensor/matmul.hpp"
@@ -202,6 +205,76 @@ TEST(QuantizeTest, RejectsUnsupportedBits) {
   MatrixF m(1, 1, 1.f);
   EXPECT_THROW(Quantize(m, 2), std::invalid_argument);
   EXPECT_THROW(Quantize(m, 16), std::invalid_argument);
+}
+
+// The documented quantization rule through std::lround: halves round away
+// from zero, products beyond the code range saturate, NaN gives 0.
+std::int8_t ReferenceCode(float x, int bits, float m) {
+  if (bits == 1) return x < 0.f ? -1 : 1;
+  if (!(m > 0.f)) return 0;
+  const float qmax = static_cast<float>(MaxCode(bits));
+  const float s = (qmax / m) * x;
+  if (std::isnan(s)) return 0;
+  if (s >= qmax) return static_cast<std::int8_t>(MaxCode(bits));
+  if (s <= -qmax) return static_cast<std::int8_t>(-MaxCode(bits));
+  return static_cast<std::int8_t>(std::lround(s));
+}
+
+TEST(QuantizeTest, QuantizersMatchLroundReferenceBitForBit) {
+  // Values that probe every branch of the rounding: exact halves on both
+  // sides of zero, their float neighbours, the saturation boundary, signed
+  // zeros, NaN and infinities, plus a random sweep.
+  std::vector<float> xs = {0.f, -0.f, 0.5f, -0.5f, 1.5f, -1.5f, 2.5f, -2.5f,
+                           126.5f, -126.5f, 127.f, -127.f, 127.49f, 127.5f,
+                           -127.5f, 128.f, -129.f, 1e30f, -1e30f,
+                           std::numeric_limits<float>::quiet_NaN(),
+                           std::numeric_limits<float>::infinity(),
+                           -std::numeric_limits<float>::infinity()};
+  for (const float h : {0.5f, 1.5f, 2.5f, 63.5f, 126.5f}) {
+    xs.push_back(std::nextafter(h, 0.f));
+    xs.push_back(std::nextafter(h, 1000.f));
+    xs.push_back(-std::nextafter(h, 0.f));
+    xs.push_back(-std::nextafter(h, 1000.f));
+  }
+  Rng rng(19);
+  for (int i = 0; i < 4000; ++i) {
+    xs.push_back(static_cast<float>(rng.NextNormal() * 60.0));
+  }
+  const MatrixF row = MatrixF::FromFlat(1, xs.size(), xs);
+  MatrixI8 got8;
+  std::vector<std::int16_t> got16(xs.size());
+  // Scaling factors: unit and larger, a denormal (qmax / M overflows to
+  // infinity), zero, negative and NaN.
+  for (const float m : {1.f, 127.f, 3.f, 1e-40f, 0.f, -2.f,
+                        std::numeric_limits<float>::quiet_NaN()}) {
+    for (const int bits : {1, 4, 8}) {
+      QuantizeRowsInto(row, 0, 1, bits, m, got8);
+      QuantizeSpanInto(xs, bits, m, std::span<std::int16_t>(got16));
+      for (std::size_t i = 0; i < xs.size(); ++i) {
+        const std::int8_t want = ReferenceCode(xs[i], bits, m);
+        const auto where = ::testing::Message()
+                           << "x=" << xs[i] << " M=" << m << " bits=" << bits;
+        ASSERT_EQ(QuantizeValue(xs[i], bits, m), want) << where;
+        ASSERT_EQ(got8(0, i), want) << where;
+        ASSERT_EQ(got16[i], want) << where;
+      }
+    }
+  }
+  std::vector<std::int16_t> short_dst(3);
+  EXPECT_THROW(
+      QuantizeSpanInto(xs, 8, 1.f, std::span<std::int16_t>(short_dst)),
+      std::invalid_argument);
+}
+
+TEST(QuantizeTest, ScalingFactorMatchesSerialMaxAndSkipsNaN) {
+  Rng rng(20);
+  for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 17u, 100u}) {
+    MatrixF m = rng.NormalMatrix(1, n, 0.0, 3.0);
+    if (n > 4) m(0, 3) = std::numeric_limits<float>::quiet_NaN();
+    float want = 0.f;
+    for (const float x : m.flat()) want = std::max(want, std::fabs(x));
+    EXPECT_EQ(ScalingFactor(m), want) << "n=" << n;
+  }
 }
 
 TEST(QuantizeTest, ZeroMatrixQuantizesToZero) {
