@@ -2,6 +2,7 @@
 // bit width (1 vs 4), and the fused-kernel unroll factor.
 
 #include <cstdio>
+#include <numeric>
 
 #include "bench_common.hpp"
 
@@ -59,11 +60,14 @@ int main() {
   std::printf("fused-kernel cycle model, d=64, 30 candidates:\n");
   Rng rng(9);
   const auto q = rng.NormalMatrix(1, 64, 0.0, 1.0);
-  const auto ks = rng.NormalMatrix(30, 64, 0.0, 1.0);
+  const auto k = rng.NormalMatrix(30, 64, 0.0, 1.0);
+  std::vector<std::uint32_t> cand(k.rows());
+  std::iota(cand.begin(), cand.end(), 0u);
+  FusedScoreResult res;
   for (unsigned p : {1u, 2u, 4u, 8u, 16u, 32u, 64u}) {
     FusedKernelConfig fk;
     fk.unroll = p;
-    const auto res = FusedScoreKernel(q.row(0), ks, fk);
+    FusedScoreKernel(q.row(0), k, cand, fk, res);
     std::printf("  UNROLL p=%2u -> %4zu cycles per query row (II=1)\n", p,
                 res.cycles);
   }

@@ -88,11 +88,10 @@ struct ShapeResult {
   double speedup = 0;
 };
 
-// Times `fn` (which must consume its result into g_sink) until at least
-// `min_s` seconds and 3 repetitions have elapsed; returns seconds/call.
+// Seconds per call of `fn` over one window of at least `min_s` seconds
+// and one call.
 template <typename Fn>
-double TimePerCall(Fn&& fn, double min_s = 0.25) {
-  fn();  // warm-up: page in, grow scratch to steady state
+double TimeWindow(Fn& fn, double min_s) {
   int reps = 0;
   const auto t0 = Clock::now();
   double elapsed = 0;
@@ -100,8 +99,31 @@ double TimePerCall(Fn&& fn, double min_s = 0.25) {
     fn();
     ++reps;
     elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
-  } while (elapsed < min_s || reps < 3);
+  } while (elapsed < min_s);
   return elapsed / reps;
+}
+
+struct PairTiming {
+  double reference_s = 0;  // seconds/call of the reference kernel
+  double fast_s = 0;       // seconds/call of the kernel under test
+};
+
+// Times a reference and a fast kernel (each must consume its result into
+// g_sink) as the best of `windows` short windows each.  The windows
+// alternate between the two sides, so a burst of host load lands on both
+// rather than on whichever ran during it; the best window is the one
+// least disturbed by the host.
+template <typename Ref, typename Fast>
+PairTiming TimePair(Ref&& reference, Fast&& fast, int windows = 5,
+                    double window_s = 0.05) {
+  reference();  // warm-up: page in, grow scratch to steady state
+  fast();
+  PairTiming t{TimeWindow(reference, window_s), TimeWindow(fast, window_s)};
+  for (int w = 1; w < windows; ++w) {
+    t.reference_s = std::min(t.reference_s, TimeWindow(reference, window_s));
+    t.fast_s = std::min(t.fast_s, TimeWindow(fast, window_s));
+  }
+  return t;
 }
 
 ShapeResult BenchGemm(const std::string& label, std::size_t m, std::size_t k,
@@ -110,15 +132,14 @@ ShapeResult BenchGemm(const std::string& label, std::size_t m, std::size_t k,
   const auto b = rng.NormalMatrix(k, n, 0.0, 1.0);
   const double flop = 2.0 * m * k * n;
 
-  const double scalar_s =
-      TimePerCall([&] { g_sink = g_sink + ScalarMatMul(a, b)(0, 0); });
-
   GemmScratch scratch;
   MatrixF c;
-  const double tiled_s = TimePerCall([&] {
-    MatMulInto(a, b, c, scratch);
-    g_sink = g_sink + c(0, 0);
-  });
+  const auto [scalar_s, tiled_s] = TimePair(
+      [&] { g_sink = g_sink + ScalarMatMul(a, b)(0, 0); },
+      [&] {
+        MatMulInto(a, b, c, scratch);
+        g_sink = g_sink + c(0, 0);
+      });
 
   ShapeResult r;
   r.op = "matmul";
@@ -138,15 +159,14 @@ ShapeResult BenchGemmBT(const std::string& label, std::size_t m,
   const auto b = rng.NormalMatrix(rows_b, d, 0.0, 1.0);
   const double flop = 2.0 * m * d * rows_b;
 
-  const double scalar_s =
-      TimePerCall([&] { g_sink = g_sink + ScalarMatMulBT(a, b)(0, 0); });
-
   GemmScratch scratch;
   MatrixF c;
-  const double tiled_s = TimePerCall([&] {
-    MatMulBTInto(a, b, c, scratch);
-    g_sink = g_sink + c(0, 0);
-  });
+  const auto [scalar_s, tiled_s] = TimePair(
+      [&] { g_sink = g_sink + ScalarMatMulBT(a, b)(0, 0); },
+      [&] {
+        MatMulBTInto(a, b, c, scratch);
+        g_sink = g_sink + c(0, 0);
+      });
 
   ShapeResult r;
   r.op = "matmul_bt";
@@ -182,12 +202,6 @@ Int8Result BenchInt8Gemm(const std::string& label, std::size_t m,
   const MatrixI8 w = RandomCodes(rng, k, n);
   const double ops = 2.0 * m * k * n;
 
-  MatrixI32 ref;
-  const double scalar_s = TimePerCall([&] {
-    ScalarInt8Gemm(x, w, ref);
-    g_sink = g_sink + static_cast<float>(ref(0, 0));
-  });
-
   // Weights packed once and activations widened once, as QuantizedLinear
   // holds them; the timed call is the GEMM alone.
   PackedInt8Weights packed;
@@ -196,11 +210,16 @@ Int8Result BenchInt8Gemm(const std::string& label, std::size_t m,
   for (std::size_t i = 0; i < m; ++i) {
     std::copy(x.row(i).begin(), x.row(i).end(), a.row(i).begin());
   }
-  MatrixI32 out;
-  const double packed_s = TimePerCall([&] {
-    Int8GemmPackedInto(a, packed, out);
-    g_sink = g_sink + static_cast<float>(out(0, 0));
-  });
+  MatrixI32 ref, out;
+  const auto [scalar_s, packed_s] = TimePair(
+      [&] {
+        ScalarInt8Gemm(x, w, ref);
+        g_sink = g_sink + static_cast<float>(ref(0, 0));
+      },
+      [&] {
+        Int8GemmPackedInto(a, packed, out);
+        g_sink = g_sink + static_cast<float>(out(0, 0));
+      });
   if (out != ref) {
     std::fprintf(stderr, "int8 %s: packed GEMM differs from scalar loop\n",
                  label.c_str());

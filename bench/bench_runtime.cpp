@@ -11,8 +11,10 @@
 // emits machine-readable JSON (BENCH_runtime.json, or argv[1]) for the CI
 // perf-smoke job.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -31,25 +33,44 @@ double SecondsSince(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-// The seed's stage-2 loop: a fresh heap-allocated gather block, score
-// vector and context row for every query row (what SparseAttention did
-// before the workspace refactor).
+// Copies the rows `idx` of `src` into a fresh (|idx| x cols) block.
+MatrixF GatherRows(const MatrixF& src, std::span<const std::uint32_t> idx) {
+  MatrixF out(idx.size(), src.cols());
+  for (std::size_t r = 0; r < idx.size(); ++r) {
+    auto s = src.row(idx[r]);
+    std::copy(s.begin(), s.end(), out.row(r).begin());
+  }
+  return out;
+}
+
+// The seed's stage-2 loop: fresh heap-allocated gathered K/V blocks, score
+// result and context row for every query row (what SparseAttention did
+// before the workspace refactor).  The gathered blocks go through the
+// production kernels with an identity candidate list, so both sides do the
+// same arithmetic.
 MatrixF SparseStage2PerRowAlloc(const MatrixF& q, const MatrixF& k,
                                 const MatrixF& v, const SelectionResult& sel,
                                 const FusedKernelConfig& fk) {
   MatrixF out(q.rows(), v.cols());
+  std::vector<std::uint32_t> identity(k.rows());
+  std::iota(identity.begin(), identity.end(), 0u);
   for (std::size_t i = 0; i < q.rows(); ++i) {
-    MatrixF ks, vs;  // fresh allocations per row, as in the seed
-    GatherRowsInto(k, sel.candidates[i], ks);
-    GatherRowsInto(v, sel.candidates[i], vs);
-    const FusedScoreResult fs = FusedScoreKernel(q.row(i), ks, fk);
-    const std::vector<float> z = WeightedContext(fs, vs);
+    const auto& cand = sel.candidates[i];
+    const MatrixF ks = GatherRows(k, cand);  // fresh allocations per row,
+    const MatrixF vs = GatherRows(v, cand);  // as in the seed
+    const auto rows = std::span(identity).first(cand.size());
+    FusedScoreResult fs;
+    FusedScoreKernel(q.row(i), ks, rows, fk, fs);
+    std::vector<float> z(v.cols());
+    WeightedContext(fs, vs, rows, z);
     auto dst = out.row(i);
     for (std::size_t c = 0; c < z.size(); ++c) dst[c] = z[c];
   }
   return out;
 }
 
+// The production stage-2 loop: candidate rows read in place, score result
+// and context row reused from `scratch`.
 MatrixF SparseStage2Workspace(const MatrixF& q, const MatrixF& k,
                               const MatrixF& v, const SelectionResult& sel,
                               const FusedKernelConfig& fk,
@@ -58,10 +79,8 @@ MatrixF SparseStage2Workspace(const MatrixF& q, const MatrixF& k,
   scratch.ReserveContext(v.cols());
   const std::span<float> z(scratch.ctx.data(), v.cols());
   for (std::size_t i = 0; i < q.rows(); ++i) {
-    GatherRowsInto(k, sel.candidates[i], scratch.ks);
-    GatherRowsInto(v, sel.candidates[i], scratch.vs);
-    FusedScoreKernel(q.row(i), scratch.ks, fk, scratch.scores);
-    WeightedContext(scratch.scores, scratch.vs, z);
+    FusedScoreKernel(q.row(i), k, sel.candidates[i], fk, scratch.scores);
+    WeightedContext(scratch.scores, v, sel.candidates[i], z);
     auto dst = out.row(i);
     for (std::size_t c = 0; c < z.size(); ++c) dst[c] = z[c];
   }

@@ -25,8 +25,9 @@ int main() {
   cfg.top_k = 30;
   cfg.bits = 1;
   SparseAttentionStats stats;
+  AttentionScratch scratch;
   const MatrixF sparse =
-      SparseAttention(problem.q, problem.k, problem.v, cfg, &stats);
+      SparseAttention(problem.q, problem.k, problem.v, cfg, &stats, scratch);
 
   // 3. Dense reference and fidelity.
   const FidelityReport rep = EvaluateFidelity(problem, cfg);

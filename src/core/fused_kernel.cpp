@@ -7,28 +7,34 @@
 #include "tensor/kernels.hpp"
 
 namespace latte {
+namespace {
 
-FusedScoreResult FusedScoreKernel(std::span<const float> q_row,
-                                  const MatrixF& ks,
-                                  const FusedKernelConfig& cfg) {
-  FusedScoreResult res;
-  FusedScoreKernel(q_row, ks, cfg, res);
-  return res;
+/// Throws unless every candidate index names a row of a `rows`-row matrix.
+void CheckCandidates(std::span<const std::uint32_t> cand, std::size_t rows,
+                     const char* what) {
+  for (const std::uint32_t j : cand) {
+    if (j >= rows) throw std::invalid_argument(what);
+  }
 }
 
-void FusedScoreKernel(std::span<const float> q_row, const MatrixF& ks,
+}  // namespace
+
+void FusedScoreKernel(std::span<const float> q_row, const MatrixF& k,
+                      std::span<const std::uint32_t> cand,
                       const FusedKernelConfig& cfg, FusedScoreResult& out) {
-  if (ks.rows() > 0 && ks.cols() != q_row.size()) {
+  if (!cand.empty() && k.cols() != q_row.size()) {
     throw std::invalid_argument("FusedScoreKernel: dim mismatch");
   }
-  if (!cfg.masked.empty() && cfg.masked.size() != ks.rows()) {
+  CheckCandidates(cand, k.rows(),
+                  "FusedScoreKernel: candidate index out of range");
+  if (!cfg.masked.empty() && cfg.masked.size() != cand.size()) {
     throw std::invalid_argument("FusedScoreKernel: mask length mismatch");
   }
   if (cfg.unroll == 0) {
     throw std::invalid_argument("FusedScoreKernel: unroll must be >= 1");
   }
 
-  out.exp_scores.resize(ks.rows());
+  out.exp_scores.resize(cand.size());
   out.sum = 0.0;
   const std::size_t d = q_row.size();
   if (d == 0) {
@@ -43,8 +49,8 @@ void FusedScoreKernel(std::span<const float> q_row, const MatrixF& ks,
     // The software reduction runs through the kernel library's unrolled
     // partial sums (same trip count as the hardware loop, reordered
     // accumulation -- compare scores with relative tolerance).
-    for (std::size_t j = 0; j < ks.rows(); ++j) {
-      const float acc = DotProduct(q_row, ks.row(j)) * cfg.scale;
+    for (std::size_t j = 0; j < cand.size(); ++j) {
+      const float acc = DotProduct(q_row, k.row(cand[j])) * cfg.scale;
       if (!cfg.masked.empty() && cfg.masked[j]) {
         // Masked candidates contribute exactly zero weight (the hardware
         // gates the exp LUT output rather than feeding it -inf).
@@ -63,30 +69,26 @@ void FusedScoreKernel(std::span<const float> q_row, const MatrixF& ks,
   // Cycle model: the inner reduction is unrolled by p, II=1, so one
   // candidate costs ceil(d/p) cycles; candidates stream back to back.
   const std::size_t per_cand = (d + cfg.unroll - 1) / cfg.unroll;
-  out.cycles = per_cand * ks.rows();
+  out.cycles = per_cand * cand.size();
 }
 
-std::vector<float> WeightedContext(const FusedScoreResult& scores,
-                                   const MatrixF& vs) {
-  std::vector<float> z(vs.cols(), 0.f);
-  WeightedContext(scores, vs, std::span<float>(z));
-  return z;
-}
-
-void WeightedContext(const FusedScoreResult& scores, const MatrixF& vs,
+void WeightedContext(const FusedScoreResult& scores, const MatrixF& v,
+                     std::span<const std::uint32_t> cand,
                      std::span<float> out) {
-  if (scores.exp_scores.size() != vs.rows()) {
+  if (scores.exp_scores.size() != cand.size()) {
     throw std::invalid_argument("WeightedContext: candidate count mismatch");
   }
-  if (out.size() != vs.cols()) {
+  CheckCandidates(cand, v.rows(),
+                  "WeightedContext: candidate index out of range");
+  if (out.size() != v.cols()) {
     throw std::invalid_argument("WeightedContext: output length mismatch");
   }
   std::fill(out.begin(), out.end(), 0.f);
-  for (std::size_t j = 0; j < vs.rows(); ++j) {
+  for (std::size_t j = 0; j < cand.size(); ++j) {
     const float w = scores.exp_scores[j];
     if (w == 0.f) continue;
-    auto vj = vs.row(j);
-    for (std::size_t c = 0; c < vs.cols(); ++c) out[c] += w * vj[c];
+    auto vj = v.row(cand[j]);
+    for (std::size_t c = 0; c < v.cols(); ++c) out[c] += w * vj[c];
   }
   if (scores.sum > 0.0) {
     const float inv = static_cast<float>(1.0 / scores.sum);

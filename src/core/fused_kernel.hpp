@@ -7,9 +7,13 @@
 // executes on the last iteration only, so the fused loop has the same trip
 // count as the plain dot-product loop.  `unroll` mirrors the HLS UNROLL
 // factor p; it only affects the reported cycle estimate, never the values.
+//
+// Both kernels read the candidate rows of K and V in place, through the
+// Top-k index list of Stage 1 (the FPGA's Stage 2.1 load).
 
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "core/exp_lut.hpp"
 #include "tensor/matrix.hpp"
@@ -35,31 +39,24 @@ struct FusedKernelConfig {
   const ExpLut* exp_lut = nullptr;
 };
 
-/// Runs the fused loop for one query row against gathered candidates.
-/// `q_row` has length d; `ks` is (|candidates| x d) of gathered key rows.
-/// Exponent arguments are clamped to +-80 to keep exp() finite, mirroring
-/// the saturating fixed-point exponent LUT of the hardware.
-FusedScoreResult FusedScoreKernel(std::span<const float> q_row,
-                                  const MatrixF& ks,
-                                  const FusedKernelConfig& cfg);
-
-/// Workspace variant: writes the result into `out`, reusing the capacity of
-/// `out.exp_scores` instead of allocating.  Bit-identical to the
-/// value-returning overload; the batch runtime calls this with a per-worker
-/// scratch FusedScoreResult so the hot loop stays allocation-free.
-void FusedScoreKernel(std::span<const float> q_row, const MatrixF& ks,
+/// Runs the fused loop for one query row: `q_row` (length d) against the
+/// key rows k.row(cand[j]).  Writes into `out`, reusing the capacity of
+/// `out.exp_scores`, so a per-worker scratch result keeps the hot loop
+/// allocation-free.  Exponent arguments are clamped to +-80 to keep exp()
+/// finite, mirroring the saturating fixed-point exponent LUT of the
+/// hardware.  Throws std::invalid_argument if a candidate index is not a
+/// row of `k`.
+void FusedScoreKernel(std::span<const float> q_row, const MatrixF& k,
+                      std::span<const std::uint32_t> cand,
                       const FusedKernelConfig& cfg, FusedScoreResult& out);
 
-/// Stage 2.3: Z_i = (sum_j exp_scores[j] * V_j) / sum (Fig 2(a)).
-/// `vs` is (|candidates| x d_v); returns the context row of length d_v.
-std::vector<float> WeightedContext(const FusedScoreResult& scores,
-                                   const MatrixF& vs);
-
-/// Workspace variant: accumulates the context row into `out`, which must
-/// have length vs.cols().  `out` is fully overwritten (zeroed first), so it
-/// can be a reused scratch span.  Bit-identical to the value-returning
-/// overload.
-void WeightedContext(const FusedScoreResult& scores, const MatrixF& vs,
+/// Stage 2.3: Z_i = (sum_j exp_scores[j] * V_{cand[j]}) / sum (Fig 2(a)).
+/// `out` must have length v.cols(); it is fully overwritten (zeroed
+/// first), so it can be a reused scratch span.  Throws
+/// std::invalid_argument if a candidate index is not a row of `v` or
+/// `scores` does not hold one weight per candidate.
+void WeightedContext(const FusedScoreResult& scores, const MatrixF& v,
+                     std::span<const std::uint32_t> cand,
                      std::span<float> out);
 
 }  // namespace latte

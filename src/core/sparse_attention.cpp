@@ -1,39 +1,9 @@
 #include "core/sparse_attention.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 namespace latte {
-namespace {
-
-/// Gathers the candidate rows of `src` into a dense (|idx| x d) block
-/// (Stage 2.1: data loading from the Top-k index list).
-MatrixF GatherRows(const MatrixF& src, std::span<const std::uint32_t> idx) {
-  MatrixF out;
-  GatherRowsInto(src, idx, out);
-  return out;
-}
-
-}  // namespace
-
-void GatherRowsInto(const MatrixF& src, std::span<const std::uint32_t> idx,
-                    MatrixF& out) {
-  out.Resize(idx.size(), src.cols());
-  for (std::size_t r = 0; r < idx.size(); ++r) {
-    auto s = src.row(idx[r]);
-    std::copy(s.begin(), s.end(), out.row(r).begin());
-  }
-}
-
-MatrixF SparseAttention(const MatrixF& q, const MatrixF& k, const MatrixF& v,
-                        const SparseAttentionConfig& cfg,
-                        SparseAttentionStats* stats) {
-  AttentionScratch scratch;
-  MatrixF out = SparseAttention(q, k, v, cfg, stats, scratch);
-  if (stats != nullptr) stats->candidates = scratch.select.CandidateLists();
-  return out;
-}
 
 MatrixF SparseAttention(const MatrixF& q, const MatrixF& k, const MatrixF& v,
                         const SparseAttentionConfig& cfg,
@@ -67,15 +37,13 @@ MatrixF SparseAttention(const MatrixF& q, const MatrixF& k, const MatrixF& v,
   for (std::size_t i = 0; i < n; ++i) {
     const auto cand = sel.Candidates(i);
     selected_total += cand.size();
-    // Stage 2.1: gather Ks/Vs for this query row into the reused buffers.
-    GatherRowsInto(k, cand, scratch.ks);
-    GatherRowsInto(v, cand, scratch.vs);
-    // Stage 2.2: fused exact score computation (Fig 4).
-    FusedScoreKernel(q.row(i), scratch.ks, fk, scratch.scores);
+    // Stage 2.1-2.2: fused exact score computation (Fig 4) over the
+    // candidate key rows, read in place.
+    FusedScoreKernel(q.row(i), k, cand, fk, scratch.scores);
     fused_cycles += scratch.scores.cycles;
     exact_macs += cand.size() * d * 2;  // scores + context
-    // Stage 2.3: weighted context.
-    WeightedContext(scratch.scores, scratch.vs, z);
+    // Stage 2.3: weighted context over the candidate value rows.
+    WeightedContext(scratch.scores, v, cand, z);
     auto dst = out.row(i);
     for (std::size_t c = 0; c < z.size(); ++c) dst[c] = z[c];
   }
@@ -93,28 +61,9 @@ MatrixF SparseAttention(const MatrixF& q, const MatrixF& k, const MatrixF& v,
 
 AttentionFn MakeSparseAttentionFn(SparseAttentionConfig cfg) {
   return [cfg](const MatrixF& q, const MatrixF& k, const MatrixF& v) {
-    return SparseAttention(q, k, v, cfg, nullptr);
+    AttentionScratch scratch;
+    return SparseAttention(q, k, v, cfg, nullptr, scratch);
   };
-}
-
-MatrixF AttentionOnCandidates(
-    const MatrixF& q, const MatrixF& k, const MatrixF& v,
-    const std::vector<std::vector<std::uint32_t>>& candidates) {
-  if (candidates.size() != q.rows()) {
-    throw std::invalid_argument("AttentionOnCandidates: row count mismatch");
-  }
-  MatrixF out(q.rows(), v.cols());
-  FusedKernelConfig fk;
-  fk.scale = 1.f / std::sqrt(static_cast<float>(q.cols()));
-  for (std::size_t i = 0; i < q.rows(); ++i) {
-    const MatrixF ks = GatherRows(k, candidates[i]);
-    const MatrixF vs = GatherRows(v, candidates[i]);
-    const FusedScoreResult fs = FusedScoreKernel(q.row(i), ks, fk);
-    const std::vector<float> z = WeightedContext(fs, vs);
-    auto dst = out.row(i);
-    for (std::size_t c = 0; c < z.size(); ++c) dst[c] = z[c];
-  }
-  return out;
 }
 
 }  // namespace latte

@@ -6,9 +6,9 @@
 //   1. quantize Q, K to 1- or 4-bit codes              (Stage 1, At-Sel)
 //   2. approximate scores Q'.K'^T (XNOR-popcount/int)  (Stage 1, At-Sel)
 //   3. Top-k per query row                             (Stage 1, At-Sel)
-//   4. gather Ks/Vs candidates                         (Stage 2.1, load)
+//   4. load candidate K rows by index, in place        (Stage 2.1, load)
 //   5. fused exact score + scale + mask + exp          (Stage 2.2, Fig 4)
-//   6. Z = S.V / sum(S)                                (Stage 2.3)
+//   6. Z = S.V_cand / sum(S), V rows read in place     (Stage 2.3)
 //
 // Complexity: O(n * k * d) full-precision work instead of O(n^2 * d); the
 // remaining O(n^2 * d) pre-selection runs on 1-bit codes in LUT fabric
@@ -39,22 +39,17 @@ struct SparseAttentionStats {
   std::size_t sorter_cycles = 0;    ///< streaming Top-k cycles
   std::size_t fused_cycles = 0;     ///< Stage 2.2 cycles
   std::size_t exact_macs = 0;       ///< full-precision MACs (score + context)
-  /// Candidates per query row, for fidelity metrics.  Filled by the
-  /// allocating overload only; the workspace overload leaves them in
-  /// `scratch.select` so its hot loop does not allocate.
-  std::vector<std::vector<std::uint32_t>> candidates;
 };
 
 /// Reusable scratch for the whole operator: the Stage 1 selection state
-/// and its (n x top_k) candidates, gather buffers for the candidate K/V
-/// rows, the fused-kernel score result and the context row.  One scratch
-/// serves one thread; the batch runtime keeps one per worker (wrapped in a
-/// runtime::Workspace) so repeated SparseAttention calls do zero heap
-/// allocation once the buffers have grown to steady state.
+/// and its (n x top_k) candidates, the fused-kernel score result and the
+/// context row.  One scratch serves one thread; the batch runtime keeps one
+/// per worker (wrapped in a runtime::Workspace) so repeated SparseAttention
+/// calls do zero heap allocation once the buffers have grown to steady
+/// state.  After a call, `select.Candidates(i)` holds query row i's
+/// candidates.
 struct AttentionScratch {
   SelectionScratch select;  ///< Stage 1 buffers and selected candidates
-  MatrixF ks;               ///< gathered candidate keys, (top_k x d)
-  MatrixF vs;               ///< gathered candidate values, (top_k x d_v)
   FusedScoreResult scores;  ///< fused-kernel output, reused per row
   std::vector<float> ctx;   ///< context row, length d_v
 
@@ -64,42 +59,25 @@ struct AttentionScratch {
   }
 
   std::size_t CapacityBytes() const {
-    std::size_t floats = ks.capacity() + vs.capacity() + ctx.capacity();
-    floats += scores.exp_scores.capacity();
+    const std::size_t floats = ctx.capacity() + scores.exp_scores.capacity();
     return select.CapacityBytes() + floats * sizeof(float);
   }
 };
 
 /// Sparse attention for one head.
 /// q, k, v are (n x d); the result is (n x d), shape-compatible with
-/// DenseAttention.  If stats != nullptr the execution statistics are
-/// written there.
-MatrixF SparseAttention(const MatrixF& q, const MatrixF& k, const MatrixF& v,
-                        const SparseAttentionConfig& cfg,
-                        SparseAttentionStats* stats = nullptr);
-
-/// Workspace variant: identical math and bit-identical output, but every
-/// temporary (selection state and candidates, gathered K/V blocks,
+/// DenseAttention.  Every temporary (selection state and candidates,
 /// exp-score buffer, context row) lives in `scratch` and is reused across
-/// rows and across calls; only the returned context allocates.  This is
-/// the operator the batched execution runtime drives.
+/// rows and across calls; only the returned context allocates.  Stage 2
+/// reads the candidate rows of `k` and `v` in place.  If stats != nullptr
+/// the execution statistics are written there.
 MatrixF SparseAttention(const MatrixF& q, const MatrixF& k, const MatrixF& v,
                         const SparseAttentionConfig& cfg,
                         SparseAttentionStats* stats,
                         AttentionScratch& scratch);
 
-/// Gathers the candidate rows of `src` into `out`, resizing it to
-/// (|idx| x src.cols()) while reusing its allocation (Stage 2.1 load).
-void GatherRowsInto(const MatrixF& src, std::span<const std::uint32_t> idx,
-                    MatrixF& out);
-
-/// Adapts SparseAttention to the encoder's pluggable AttentionFn.
+/// Adapts SparseAttention to the encoder's pluggable AttentionFn; each
+/// call runs on its own scratch.
 AttentionFn MakeSparseAttentionFn(SparseAttentionConfig cfg);
-
-/// Dense attention restricted to a given candidate set (oracle for tests:
-/// sparse attention with exact Top-k candidates must match this).
-MatrixF AttentionOnCandidates(
-    const MatrixF& q, const MatrixF& k, const MatrixF& v,
-    const std::vector<std::vector<std::uint32_t>>& candidates);
 
 }  // namespace latte

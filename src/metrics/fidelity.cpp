@@ -33,9 +33,10 @@ FidelityReport EvaluateFidelity(const AttentionProblem& problem,
   rep.n = problem.q.rows();
   rep.k_used = std::min<std::size_t>(cfg.top_k, problem.k.rows());
 
-  SparseAttentionStats stats;
+  AttentionScratch scratch;
   const MatrixF sparse =
-      SparseAttention(problem.q, problem.k, problem.v, cfg, &stats);
+      SparseAttention(problem.q, problem.k, problem.v, cfg, nullptr, scratch);
+  const auto candidates = scratch.select.CandidateLists();
   const MatrixF dense = DenseAttention(problem.q, problem.k, problem.v);
 
   // Recall against the exact Top-k oracle.
@@ -43,8 +44,8 @@ FidelityReport EvaluateFidelity(const AttentionProblem& problem,
       ExactTopKCandidates(problem.q, problem.k, cfg.top_k);
   double recall = 0.0;
   for (std::size_t i = 0; i < exact.size(); ++i) {
-    std::unordered_set<std::uint32_t> sel(stats.candidates[i].begin(),
-                                          stats.candidates[i].end());
+    std::unordered_set<std::uint32_t> sel(candidates[i].begin(),
+                                          candidates[i].end());
     std::size_t hit = 0;
     for (std::uint32_t j : exact[i]) hit += sel.count(j);
     recall += exact[i].empty()
@@ -56,7 +57,7 @@ FidelityReport EvaluateFidelity(const AttentionProblem& problem,
       exact.empty() ? 1.0 : recall / static_cast<double>(exact.size());
 
   rep.retained_mass =
-      RetainedSoftmaxMass(problem.q, problem.k, stats.candidates);
+      RetainedSoftmaxMass(problem.q, problem.k, candidates);
   rep.output_cosine = MeanRowCosine(sparse, dense);
 
   const double dense_norm = FrobeniusDistance(dense, MatrixF(dense.rows(),

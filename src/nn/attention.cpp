@@ -12,13 +12,8 @@
 namespace latte {
 
 MatrixF DenseAttention(const MatrixF& q, const MatrixF& k, const MatrixF& v) {
-  return DenseAttentionMasked(q, k, v, 0);
-}
-
-MatrixF DenseAttentionMasked(const MatrixF& q, const MatrixF& k,
-                             const MatrixF& v, std::size_t valid_len) {
   Workspace ws;
-  return DenseAttentionMaskedWorkspace(q, k, v, valid_len, ws);
+  return DenseAttentionMaskedWorkspace(q, k, v, 0, ws);
 }
 
 MatrixF DenseAttentionWorkspace(const MatrixF& q, const MatrixF& k,

@@ -31,12 +31,6 @@ using WorkspaceAttentionFn = std::function<MatrixF(
 /// Q, K, V are (n x d); result is (n x d).
 MatrixF DenseAttention(const MatrixF& q, const MatrixF& k, const MatrixF& v);
 
-/// Dense attention with a padding mask: keys at index >= valid_len receive
-/// -inf scores before softmax (0 = everything valid).  The oracle for the
-/// masked sparse path.  Thin allocating shim over the workspace variant.
-MatrixF DenseAttentionMasked(const MatrixF& q, const MatrixF& k,
-                             const MatrixF& v, std::size_t valid_len);
-
 /// Workspace variant of dense attention: the (n x n) score matrix is
 /// leased from `ws` (slot wslots::kAttentionScores) and both matmuls pack
 /// into the workspace GEMM scratch, so repeated calls at steady-state
@@ -45,7 +39,9 @@ MatrixF DenseAttentionMasked(const MatrixF& q, const MatrixF& k,
 MatrixF DenseAttentionWorkspace(const MatrixF& q, const MatrixF& k,
                                 const MatrixF& v, Workspace& ws);
 
-/// Masked workspace variant; bit-identical to DenseAttentionMasked.
+/// Dense attention with a padding mask: keys at index >= valid_len receive
+/// -inf scores before softmax (0 = everything valid).  The oracle for the
+/// masked sparse path.
 MatrixF DenseAttentionMaskedWorkspace(const MatrixF& q, const MatrixF& k,
                                       const MatrixF& v, std::size_t valid_len,
                                       Workspace& ws);

@@ -1,5 +1,6 @@
 #include "search/json_io.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -23,9 +24,11 @@ double JsonValue::AsNumber(std::string_view what) const {
 
 std::size_t JsonValue::AsSize(std::string_view what) const {
   const double v = AsNumber(what);
-  if (v < 0) {
+  // A fraction would be silently truncated, and from 2^64 on the
+  // conversion below would be undefined behaviour.
+  if (v < 0 || v >= 18446744073709551616.0 || v != std::floor(v)) {
     throw std::invalid_argument("json: " + std::string(what) +
-                                " must be non-negative");
+                                " must be an integer in [0, 2^64)");
   }
   return static_cast<std::size_t>(v);
 }

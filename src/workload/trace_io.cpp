@@ -20,7 +20,11 @@ std::string HexId(std::uint64_t id) {
 }
 
 std::uint64_t ParseHexId(const std::string& text) {
-  if (text.size() < 3 || text[0] != '0' || text[1] != 'x') {
+  // Hex digits only: strtoull alone would also take a sign or leading
+  // blanks, and "0x-1" would become kAnonymousId.
+  if (text.size() < 3 || text[0] != '0' || text[1] != 'x' ||
+      text.find_first_not_of("0123456789abcdefABCDEF", 2) !=
+          std::string::npos) {
     throw std::invalid_argument("lattetrace: record id is not a 0x... hex string: " +
                                 text);
   }

@@ -87,6 +87,28 @@ TEST(AllocationBudgetTest, QuantizedLinearForward) {
                      0);
 }
 
+TEST(AllocationBudgetTest, SparseAttentionOnWarmScratch) {
+  // Stage 1 state, the candidate lists, the fused-kernel scores and the
+  // context row all live in the scratch, and Stage 2 reads K/V rows in
+  // place: only the returned context allocates.
+  Rng rng(3);
+  AttentionWorkloadConfig wl;
+  wl.head_dim = 64;
+  const AttentionProblem p = GenerateAttentionProblem(rng, 256, wl);
+  for (const int bits : {1, 4}) {
+    SparseAttentionConfig cfg;
+    cfg.top_k = 30;
+    cfg.bits = bits;
+    AttentionScratch scratch;
+    ExpectWithinBudget("sparse attention, " + std::to_string(bits) + "-bit",
+                       SteadyStateAllocations([&] {
+                         (void)SparseAttention(p.q, p.k, p.v, cfg, nullptr,
+                                               scratch);
+                       }),
+                       1);
+  }
+}
+
 TEST(AllocationBudgetTest, UnshardedEncoderLayer) {
   const LayerFixture f;
   Workspace ws;

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 #include <unordered_set>
 
+#include "attention_reference.hpp"
 #include "core/candidate_selector.hpp"
 #include "core/fused_kernel.hpp"
 #include "core/sparse_attention.hpp"
@@ -23,6 +25,28 @@ AttentionProblem MakeProblem(std::uint64_t seed, std::size_t n,
   AttentionWorkloadConfig cfg;
   cfg.head_dim = d;
   return GenerateAttentionProblem(rng, n, cfg);
+}
+
+// Every row of `m`, in order: runs the in-place kernels over a whole block.
+std::vector<std::uint32_t> AllRows(const MatrixF& m) {
+  std::vector<std::uint32_t> rows(m.rows());
+  std::iota(rows.begin(), rows.end(), 0u);
+  return rows;
+}
+
+FusedScoreResult ScoreAll(std::span<const float> q_row, const MatrixF& ks,
+                          const FusedKernelConfig& cfg) {
+  FusedScoreResult res;
+  FusedScoreKernel(q_row, ks, AllRows(ks), cfg, res);
+  return res;
+}
+
+// Sparse attention on a fresh scratch.
+MatrixF Sparse(const MatrixF& q, const MatrixF& k, const MatrixF& v,
+               const SparseAttentionConfig& cfg,
+               SparseAttentionStats* stats = nullptr) {
+  AttentionScratch scratch;
+  return SparseAttention(q, k, v, cfg, stats, scratch);
 }
 
 // ----------------------------------------------------- CandidateSelector --
@@ -138,7 +162,7 @@ TEST(FusedKernelTest, MatchesUnfusedReference) {
   const auto ks = rng.NormalMatrix(5, 16, 0.0, 1.0);
   FusedKernelConfig cfg;
   cfg.scale = 0.25f;
-  const auto res = FusedScoreKernel(q.row(0), ks, cfg);
+  const auto res = ScoreAll(q.row(0), ks, cfg);
   ASSERT_EQ(res.exp_scores.size(), 5u);
   double sum = 0;
   for (std::size_t j = 0; j < 5; ++j) {
@@ -157,7 +181,7 @@ TEST(FusedKernelTest, MaskedCandidatesGetZeroWeight) {
   const auto ks = rng.NormalMatrix(3, 8, 0.0, 1.0);
   FusedKernelConfig cfg;
   cfg.masked = {false, true, false};
-  const auto res = FusedScoreKernel(q.row(0), ks, cfg);
+  const auto res = ScoreAll(q.row(0), ks, cfg);
   EXPECT_EQ(res.exp_scores[1], 0.f);  // exp(-inf) clamped to exp(-80) ~ 0
   EXPECT_GT(res.exp_scores[0], 0.f);
 }
@@ -168,18 +192,18 @@ TEST(FusedKernelTest, CycleModelRespectsUnroll) {
   const auto ks = rng.NormalMatrix(10, 64, 0.0, 1.0);
   FusedKernelConfig cfg;
   cfg.unroll = 8;
-  EXPECT_EQ(FusedScoreKernel(q.row(0), ks, cfg).cycles, 10u * 8u);
+  EXPECT_EQ(ScoreAll(q.row(0), ks, cfg).cycles, 10u * 8u);
   cfg.unroll = 64;
-  EXPECT_EQ(FusedScoreKernel(q.row(0), ks, cfg).cycles, 10u);
+  EXPECT_EQ(ScoreAll(q.row(0), ks, cfg).cycles, 10u);
   cfg.unroll = 3;  // non-divisible: ceil(64/3) = 22
-  EXPECT_EQ(FusedScoreKernel(q.row(0), ks, cfg).cycles, 10u * 22u);
+  EXPECT_EQ(ScoreAll(q.row(0), ks, cfg).cycles, 10u * 22u);
 }
 
 TEST(FusedKernelTest, SaturatesLargeExponents) {
   MatrixF q(1, 1, 100.f);
   MatrixF ks(1, 1, 100.f);
   FusedKernelConfig cfg;  // raw score 1e4 would overflow exp()
-  const auto res = FusedScoreKernel(q.row(0), ks, cfg);
+  const auto res = ScoreAll(q.row(0), ks, cfg);
   EXPECT_TRUE(std::isfinite(res.exp_scores[0]));
   EXPECT_NEAR(res.exp_scores[0], std::exp(80.f), 1e-3f * std::exp(80.f));
 }
@@ -188,13 +212,59 @@ TEST(FusedKernelTest, RejectsBadArguments) {
   MatrixF q(1, 4, 1.f);
   MatrixF ks(2, 8, 1.f);
   FusedKernelConfig cfg;
-  EXPECT_THROW(FusedScoreKernel(q.row(0), ks, cfg), std::invalid_argument);
+  EXPECT_THROW(ScoreAll(q.row(0), ks, cfg), std::invalid_argument);
   MatrixF ks2(2, 4, 1.f);
   cfg.masked = {true};  // wrong length
-  EXPECT_THROW(FusedScoreKernel(q.row(0), ks2, cfg), std::invalid_argument);
+  EXPECT_THROW(ScoreAll(q.row(0), ks2, cfg), std::invalid_argument);
   cfg.masked.clear();
   cfg.unroll = 0;
-  EXPECT_THROW(FusedScoreKernel(q.row(0), ks2, cfg), std::invalid_argument);
+  EXPECT_THROW(ScoreAll(q.row(0), ks2, cfg), std::invalid_argument);
+}
+
+TEST(FusedKernelTest, ReadsCandidateRowsInPlace) {
+  // Scoring rows {4, 1, 4} of K in place equals scoring a copied block of
+  // those rows, bit for bit; a repeated index scores twice.
+  Rng rng(10);
+  const auto q = rng.NormalMatrix(1, 16, 0.0, 1.0);
+  const auto k = rng.NormalMatrix(6, 16, 0.0, 1.0);
+  const std::vector<std::uint32_t> cand = {4, 1, 4};
+  MatrixF block(cand.size(), 16);
+  for (std::size_t j = 0; j < cand.size(); ++j) {
+    for (std::size_t c = 0; c < 16; ++c) block(j, c) = k(cand[j], c);
+  }
+  FusedKernelConfig cfg;
+  cfg.scale = 0.25f;
+  FusedScoreResult res;
+  FusedScoreKernel(q.row(0), k, cand, cfg, res);
+  const auto copied = ScoreAll(q.row(0), block, cfg);
+  EXPECT_EQ(res.exp_scores, copied.exp_scores);
+  EXPECT_EQ(res.sum, copied.sum);
+  EXPECT_EQ(res.exp_scores[0], res.exp_scores[2]);
+  EXPECT_EQ(res.cycles, 3u * 2u);
+}
+
+TEST(FusedKernelTest, RejectsCandidateOutsideK) {
+  MatrixF q(1, 4, 1.f);
+  MatrixF k(3, 4, 1.f);
+  FusedScoreResult res;
+  const std::vector<std::uint32_t> cand = {0, 3};  // row 3 does not exist
+  EXPECT_THROW(FusedScoreKernel(q.row(0), k, cand, {}, res),
+               std::invalid_argument);
+}
+
+TEST(FusedKernelTest, EmptyCandidateListScoresNothing) {
+  MatrixF q(1, 4, 1.f);
+  MatrixF k(3, 4, 1.f);
+  FusedScoreResult res;
+  res.exp_scores = {1.f, 2.f};  // a reused scratch holding an older row
+  res.sum = 3.0;
+  FusedScoreKernel(q.row(0), k, {}, {}, res);
+  EXPECT_TRUE(res.exp_scores.empty());
+  EXPECT_EQ(res.sum, 0.0);
+  EXPECT_EQ(res.cycles, 0u);
+  std::vector<float> z(4, 9.f);
+  WeightedContext(res, k, {}, z);
+  for (float x : z) EXPECT_EQ(x, 0.f);
 }
 
 TEST(WeightedContextTest, NormalizedConvexCombination) {
@@ -206,8 +276,47 @@ TEST(WeightedContextTest, NormalizedConvexCombination) {
   FusedScoreResult fs;
   fs.exp_scores = {1.f, 1.f};
   fs.sum = 2.0;
-  const auto z = WeightedContext(fs, vs);
+  std::vector<float> z(3);
+  WeightedContext(fs, vs, AllRows(vs), z);
   for (float x : z) EXPECT_FLOAT_EQ(x, 2.f);  // midpoint
+}
+
+TEST(WeightedContextTest, WeightsCandidateRowsInPlace) {
+  MatrixF v(3, 2);
+  for (std::size_t c = 0; c < 2; ++c) {
+    v(0, c) = 1.f;
+    v(1, c) = 100.f;  // never selected
+    v(2, c) = 4.f;
+  }
+  FusedScoreResult fs;
+  fs.exp_scores = {1.f, 2.f};
+  fs.sum = 3.0;
+  std::vector<float> z(2);
+  WeightedContext(fs, v, std::vector<std::uint32_t>{2, 0}, z);
+  for (float x : z) EXPECT_FLOAT_EQ(x, 2.f);  // (4 + 2 * 1) / 3
+}
+
+TEST(WeightedContextTest, RejectsCandidateOutsideV) {
+  MatrixF v(2, 3, 1.f);
+  FusedScoreResult fs;
+  fs.exp_scores = {1.f, 1.f};
+  fs.sum = 2.0;
+  std::vector<float> z(3);
+  EXPECT_THROW(WeightedContext(fs, v, std::vector<std::uint32_t>{1, 2}, z),
+               std::invalid_argument);
+}
+
+TEST(WeightedContextTest, RejectsMismatchedLengths) {
+  MatrixF v(2, 3, 1.f);
+  FusedScoreResult fs;
+  fs.exp_scores = {1.f, 1.f};
+  fs.sum = 2.0;
+  std::vector<float> z(3);
+  EXPECT_THROW(WeightedContext(fs, v, std::vector<std::uint32_t>{1}, z),
+               std::invalid_argument);
+  std::vector<float> short_z(2);  // output length must be v.cols()
+  EXPECT_THROW(WeightedContext(fs, v, AllRows(v), short_z),
+               std::invalid_argument);
 }
 
 // ------------------------------------------------------- SparseAttention --
@@ -216,7 +325,7 @@ TEST(SparseAttentionTest, EqualsDenseWhenKCoversAll) {
   const auto p = MakeProblem(10, 24);
   SparseAttentionConfig cfg;
   cfg.top_k = 24;  // every key selected
-  const auto sparse = SparseAttention(p.q, p.k, p.v, cfg);
+  const auto sparse = Sparse(p.q, p.k, p.v, cfg);
   const auto dense = DenseAttention(p.q, p.k, p.v);
   ASSERT_EQ(sparse.rows(), dense.rows());
   for (std::size_t i = 0; i < sparse.size(); ++i) {
@@ -225,15 +334,16 @@ TEST(SparseAttentionTest, EqualsDenseWhenKCoversAll) {
 }
 
 TEST(SparseAttentionTest, MatchesOracleOnItsOwnCandidates) {
+  // Oracle: a double-precision softmax over the selected keys, computed
+  // without the fused kernels.
   const auto p = MakeProblem(11, 48);
   SparseAttentionConfig cfg;
   cfg.top_k = 8;
-  SparseAttentionStats stats;
-  const auto sparse = SparseAttention(p.q, p.k, p.v, cfg, &stats);
-  const auto oracle = AttentionOnCandidates(p.q, p.k, p.v, stats.candidates);
-  for (std::size_t i = 0; i < sparse.size(); ++i) {
-    EXPECT_NEAR(sparse.flat()[i], oracle.flat()[i], 1e-5f);
-  }
+  AttentionScratch scratch;
+  const auto sparse = SparseAttention(p.q, p.k, p.v, cfg, nullptr, scratch);
+  const double err = oracle::MaxReferenceError(
+      sparse, p.q, p.k, p.v, scratch.select);
+  EXPECT_LT(err, 1e-5);
 }
 
 TEST(SparseAttentionTest, StatsAccounting) {
@@ -241,12 +351,13 @@ TEST(SparseAttentionTest, StatsAccounting) {
   SparseAttentionConfig cfg;
   cfg.top_k = 10;
   SparseAttentionStats stats;
-  SparseAttention(p.q, p.k, p.v, cfg, &stats);
+  AttentionScratch scratch;
+  SparseAttention(p.q, p.k, p.v, cfg, &stats, scratch);
   EXPECT_EQ(stats.n, 40u);
   EXPECT_EQ(stats.selected_per_row, 10u);
   EXPECT_EQ(stats.exact_macs, 40u * 10u * 32u * 2u);
   EXPECT_EQ(stats.lut_multiplies, 40u * 40u * 32u);
-  EXPECT_EQ(stats.candidates.size(), 40u);
+  EXPECT_EQ(scratch.select.rows, 40u);
 }
 
 TEST(SparseAttentionTest, ComplexityLinearInN) {
@@ -256,15 +367,15 @@ TEST(SparseAttentionTest, ComplexityLinearInN) {
   SparseAttentionStats s1, s2;
   const auto p1 = MakeProblem(13, 50);
   const auto p2 = MakeProblem(14, 100);
-  SparseAttention(p1.q, p1.k, p1.v, cfg, &s1);
-  SparseAttention(p2.q, p2.k, p2.v, cfg, &s2);
+  Sparse(p1.q, p1.k, p1.v, cfg, &s1);
+  Sparse(p2.q, p2.k, p2.v, cfg, &s2);
   EXPECT_EQ(s2.exact_macs, 2 * s1.exact_macs);
 }
 
 TEST(SparseAttentionTest, ShapeMismatchThrows) {
   MatrixF q(4, 8), k(4, 16), v(4, 8);
   SparseAttentionConfig cfg;
-  EXPECT_THROW(SparseAttention(q, k, v, cfg), std::invalid_argument);
+  EXPECT_THROW(Sparse(q, k, v, cfg), std::invalid_argument);
 }
 
 TEST(SparseAttentionTest, AttentionFnAdapterWorks) {
@@ -273,7 +384,7 @@ TEST(SparseAttentionTest, AttentionFnAdapterWorks) {
   cfg.top_k = 16;
   const AttentionFn fn = MakeSparseAttentionFn(cfg);
   const auto a = fn(p.q, p.k, p.v);
-  const auto b = SparseAttention(p.q, p.k, p.v, cfg);
+  const auto b = Sparse(p.q, p.k, p.v, cfg);
   EXPECT_EQ(a, b);
 }
 
@@ -288,7 +399,7 @@ TEST_P(SparseAttentionProperty, OutputInsideVHull) {
   SparseAttentionConfig cfg;
   cfg.top_k = k;
   cfg.bits = bits;
-  const auto out = SparseAttention(p.q, p.k, p.v, cfg);
+  const auto out = Sparse(p.q, p.k, p.v, cfg);
   for (std::size_t c = 0; c < p.v.cols(); ++c) {
     float lo = p.v(0, c), hi = p.v(0, c);
     for (std::size_t j = 1; j < p.v.rows(); ++j) {

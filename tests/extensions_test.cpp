@@ -11,6 +11,7 @@
 #include "fpga/serving.hpp"
 #include "fpga/trace.hpp"
 #include "model/inference.hpp"
+#include "runtime/workspace.hpp"
 #include "tensor/fixed_point.hpp"
 #include "tensor/matmul.hpp"
 #include "workload/synthetic.hpp"
@@ -34,9 +35,10 @@ TEST(MaskedSparseTest, NeverSelectsPaddingKeys) {
   cfg.top_k = 16;
   cfg.valid_len = 40;
   SparseAttentionStats stats;
-  SparseAttention(p.q, p.k, p.v, cfg, &stats);
-  for (const auto& cand : stats.candidates) {
-    for (auto j : cand) EXPECT_LT(j, 40u);
+  AttentionScratch scratch;
+  SparseAttention(p.q, p.k, p.v, cfg, &stats, scratch);
+  for (std::size_t i = 0; i < stats.n; ++i) {
+    for (auto j : scratch.select.Candidates(i)) EXPECT_LT(j, 40u);
   }
   EXPECT_EQ(stats.selected_per_row, 16u);
 }
@@ -46,8 +48,9 @@ TEST(MaskedSparseTest, EqualsMaskedDenseWhenKCoversValid) {
   SparseAttentionConfig cfg;
   cfg.top_k = 20;
   cfg.valid_len = 20;  // k covers every valid key
-  const auto sparse = SparseAttention(p.q, p.k, p.v, cfg);
-  const auto dense = DenseAttentionMasked(p.q, p.k, p.v, 20);
+  const auto sparse = MakeSparseAttentionFn(cfg)(p.q, p.k, p.v);
+  Workspace ws;
+  const auto dense = DenseAttentionMaskedWorkspace(p.q, p.k, p.v, 20, ws);
   for (std::size_t i = 0; i < sparse.size(); ++i) {
     EXPECT_NEAR(sparse.flat()[i], dense.flat()[i], 2e-3f);
   }
@@ -58,16 +61,17 @@ TEST(MaskedSparseTest, ValidLenBeyondNIsAllValid) {
   SparseAttentionConfig cfg;
   cfg.top_k = 16;
   cfg.valid_len = 999;
-  const auto a = SparseAttention(p.q, p.k, p.v, cfg);
+  const auto a = MakeSparseAttentionFn(cfg)(p.q, p.k, p.v);
   cfg.valid_len = 0;
-  const auto b = SparseAttention(p.q, p.k, p.v, cfg);
+  const auto b = MakeSparseAttentionFn(cfg)(p.q, p.k, p.v);
   EXPECT_EQ(a, b);
 }
 
 TEST(MaskedDenseTest, PaddingGetsZeroWeight) {
   // With only the first key valid, the output must equal V row 0.
   const auto p = Problem(4, 8);
-  const auto out = DenseAttentionMasked(p.q, p.k, p.v, 1);
+  Workspace ws;
+  const auto out = DenseAttentionMaskedWorkspace(p.q, p.k, p.v, 1, ws);
   for (std::size_t i = 0; i < out.rows(); ++i) {
     for (std::size_t c = 0; c < out.cols(); ++c) {
       EXPECT_NEAR(out(i, c), p.v(0, c), 1e-5f);

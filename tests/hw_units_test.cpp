@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
 
 #include "core/exp_lut.hpp"
 #include "core/fused_kernel.hpp"
@@ -69,8 +70,11 @@ TEST(ExpLutTest, PluggedIntoFusedKernelMatchesExp) {
   with.exp_lut = &lut;
   FusedKernelConfig without;
   without.scale = 0.2f;
-  const auto a = FusedScoreKernel(q.row(0), ks, with);
-  const auto b = FusedScoreKernel(q.row(0), ks, without);
+  std::vector<std::uint32_t> cand(ks.rows());
+  std::iota(cand.begin(), cand.end(), 0u);
+  FusedScoreResult a, b;
+  FusedScoreKernel(q.row(0), ks, cand, with, a);
+  FusedScoreKernel(q.row(0), ks, cand, without, b);
   for (std::size_t j = 0; j < 8; ++j) {
     EXPECT_NEAR(a.exp_scores[j], b.exp_scores[j],
                 2e-3f * b.exp_scores[j] + 1e-9f);

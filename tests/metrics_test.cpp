@@ -47,10 +47,11 @@ TEST(FidelityTest, OracleSelectionRetainsMoreMassThanQuantized) {
   const auto p = Problem(3, 128);
   SparseAttentionConfig cfg;
   cfg.top_k = 16;
-  SparseAttentionStats stats;
-  SparseAttention(p.q, p.k, p.v, cfg, &stats);
+  AttentionScratch scratch;
+  SparseAttention(p.q, p.k, p.v, cfg, nullptr, scratch);
   const auto oracle = ExactTopKCandidates(p.q, p.k, 16);
-  const double quant_mass = RetainedSoftmaxMass(p.q, p.k, stats.candidates);
+  const double quant_mass =
+      RetainedSoftmaxMass(p.q, p.k, scratch.select.CandidateLists());
   const double oracle_mass = RetainedSoftmaxMass(p.q, p.k, oracle);
   EXPECT_GE(oracle_mass, quant_mass - 1e-9);
 }

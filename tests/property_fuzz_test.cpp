@@ -10,6 +10,7 @@
 #include <string>
 #include <unordered_set>
 
+#include "attention_reference.hpp"
 #include "latte/latte.hpp"
 
 namespace latte {
@@ -31,14 +32,14 @@ TEST_P(SeedSweep, SparseAttentionInvariants) {
   SparseAttentionConfig cfg;
   cfg.top_k = k;
   cfg.bits = bits;
-  SparseAttentionStats stats;
-  const auto out = SparseAttention(p.q, p.k, p.v, cfg, &stats);
+  AttentionScratch scratch;
+  const auto out = SparseAttention(p.q, p.k, p.v, cfg, nullptr, scratch);
 
   // Shape and per-row candidate invariants.
   ASSERT_EQ(out.rows(), n);
-  ASSERT_EQ(stats.candidates.size(), n);
+  ASSERT_EQ(scratch.select.rows, n);
   const std::size_t expect = std::min(k, n);
-  for (const auto& cand : stats.candidates) {
+  for (const auto& cand : scratch.select.CandidateLists()) {
     EXPECT_EQ(cand.size(), expect);
     std::unordered_set<std::uint32_t> uniq(cand.begin(), cand.end());
     EXPECT_EQ(uniq.size(), cand.size());  // no duplicates
@@ -68,11 +69,56 @@ TEST_P(SeedSweep, MaskedSelectionNeverLeaksPadding) {
   SparseAttentionConfig cfg;
   cfg.top_k = 12;
   cfg.valid_len = valid;
-  SparseAttentionStats stats;
-  SparseAttention(p.q, p.k, p.v, cfg, &stats);
-  for (const auto& cand : stats.candidates) {
+  AttentionScratch scratch;
+  SparseAttention(p.q, p.k, p.v, cfg, nullptr, scratch);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto cand = scratch.select.Candidates(i);
     EXPECT_EQ(cand.size(), std::min<std::size_t>(12, valid));
     for (auto j : cand) EXPECT_LT(j, valid);
+  }
+}
+
+// Head dims around the fused kernel's unrolled-dot tails and the 64-bit
+// sign-word boundary.
+constexpr std::size_t kStage2Dims[] = {1, 7, 64, 130};
+
+TEST_P(SeedSweep, SparseAttentionMatchesDoubleReference) {
+  Rng rng(GetParam() * 41 + 19);
+  // The seed pins which corners this instance covers, so the 12-seed
+  // sweep hits every combination of n = 1, top_k >= n and valid_len < n.
+  const bool single = GetParam() % 4 == 0;
+  const bool wide_k = GetParam() % 2 == 0;
+  const bool masked = GetParam() % 3 != 0;
+  AttentionScratch warm;  // reused across shapes, as on a worker
+  for (const std::size_t d : kStage2Dims) {
+    for (const int bits : {1, 4}) {
+      const std::size_t n = single ? 1 : 2 + rng.NextIndex(90);
+      SparseAttentionConfig cfg;
+      cfg.bits = bits;
+      cfg.top_k = wide_k ? n + rng.NextIndex(4) : 1 + rng.NextIndex(n);
+      cfg.valid_len = masked ? 1 + rng.NextIndex(n) : 0;
+      SCOPED_TRACE("bits " + std::to_string(bits) + " d " + std::to_string(d));
+      SCOPED_TRACE("n " + std::to_string(n) + " top_k " +
+                   std::to_string(cfg.top_k) + " valid " +
+                   std::to_string(cfg.valid_len));
+      AttentionWorkloadConfig wl;
+      wl.head_dim = d;
+      const auto p = GenerateAttentionProblem(rng, n, wl);
+
+      const MatrixF out = SparseAttention(p.q, p.k, p.v, cfg, nullptr, warm);
+      const std::size_t valid = cfg.valid_len > 0 ? cfg.valid_len : n;
+      for (std::size_t i = 0; i < n; ++i) {
+        const auto cand = warm.select.Candidates(i);
+        ASSERT_EQ(cand.size(), std::min(cfg.top_k, valid));
+        for (auto j : cand) ASSERT_LT(j, valid);
+      }
+      const double err = oracle::MaxReferenceError(
+          out, p.q, p.k, p.v, warm.select);
+      EXPECT_LT(err, 1e-5);
+
+      AttentionScratch fresh;
+      EXPECT_EQ(SparseAttention(p.q, p.k, p.v, cfg, nullptr, fresh), out);
+    }
   }
 }
 

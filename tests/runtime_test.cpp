@@ -101,13 +101,13 @@ TEST(WorkspaceTest, AttentionScratchIsReusedAcrossCalls) {
   const MatrixF first = SparseAttention(p.q, p.k, p.v, cfg, nullptr,
                                         ws.attention());
   const std::size_t bytes_after_first = ws.CapacityBytes();
-  const float* ks_ptr = ws.attention().ks.flat().data();
+  const float* scores_ptr = ws.attention().scores.exp_scores.data();
 
   // Same shapes again: the arena must serve the same buffers, not grow.
   const MatrixF second = SparseAttention(p.q, p.k, p.v, cfg, nullptr,
                                          ws.attention());
   EXPECT_EQ(ws.CapacityBytes(), bytes_after_first);
-  EXPECT_EQ(ws.attention().ks.flat().data(), ks_ptr);
+  EXPECT_EQ(ws.attention().scores.exp_scores.data(), scores_ptr);
   EXPECT_GE(ws.leases(), 4u);
   EXPECT_EQ(first, second);  // and the math is deterministic
 
@@ -124,8 +124,11 @@ TEST(WorkspaceTest, WorkspacePathMatchesAllocatingPath) {
   SparseAttentionConfig cfg;
   cfg.top_k = 12;
 
+  // The allocating path: a fresh scratch for this one call.
   SparseAttentionStats plain_stats;
-  const MatrixF plain = SparseAttention(p.q, p.k, p.v, cfg, &plain_stats);
+  AttentionScratch fresh;
+  const MatrixF plain =
+      SparseAttention(p.q, p.k, p.v, cfg, &plain_stats, fresh);
 
   Workspace ws;
   SparseAttentionStats ws_stats;
@@ -160,9 +163,12 @@ TEST(SparseAttentionStatsTest, SelectedPerRowReportsActualMean) {
   cfg.top_k = 40;
   cfg.valid_len = 20;
   SparseAttentionStats stats;
-  SparseAttention(p.q, p.k, p.v, cfg, &stats);
+  AttentionScratch scratch;
+  SparseAttention(p.q, p.k, p.v, cfg, &stats, scratch);
   std::size_t total = 0;
-  for (const auto& c : stats.candidates) total += c.size();
+  for (std::size_t i = 0; i < stats.n; ++i) {
+    total += scratch.select.Candidates(i).size();
+  }
   EXPECT_EQ(stats.selected_per_row, total / stats.n);
   EXPECT_EQ(stats.selected_per_row, 20u);
 }

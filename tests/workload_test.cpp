@@ -412,11 +412,24 @@ TEST(TraceIoTest, RejectsMalformedCaptures) {
   EXPECT_THROW(TraceFromJson(R"({"magic":"lattetrace","version":1,)"
                              R"("requests":2,"records":[]})"),
                std::invalid_argument);
-  // Ids are "0x..." hex strings; a bare number is a corrupt capture.
-  EXPECT_THROW(
-      TraceFromJson(R"({"magic":"lattetrace","version":1,"requests":1,)"
-                    R"("records":[{"arrival_s":0,"length":1,"id":"42"}]})"),
-      std::invalid_argument);
+  // A size past 2^64 cannot be converted; it is rejected, not truncated.
+  EXPECT_THROW(TraceFromJson(R"({"magic":"lattetrace","version":1,)"
+                             R"("requests":1e300,"records":[]})"),
+               std::invalid_argument);
+  // Sizes are integers; a fraction is not truncated.
+  EXPECT_THROW(TraceFromJson(R"({"magic":"lattetrace","version":1,)"
+                             R"("requests":0.5,"records":[]})"),
+               std::invalid_argument);
+  // Ids are "0x..." hex strings; a bare number is a corrupt capture, and
+  // so is a sign or a blank after the prefix ("0x-1" is not kAnonymousId).
+  for (const char* id : {"42", "0x-1", "0x 5", "0x+5"}) {
+    EXPECT_THROW(
+        TraceFromJson(std::string(R"({"magic":"lattetrace","version":1,)") +
+                      R"("requests":1,"records":[{"arrival_s":0,"length":1,)" +
+                      R"("id":")" + id + R"("}]})"),
+        std::invalid_argument)
+        << id;
+  }
 }
 
 }  // namespace
